@@ -32,7 +32,7 @@ from typing import List, Optional
 
 from .core.advisor import recommend_mode
 from .core.configs import ALL_MODES, TransferMode
-from .core.execution import ENGINES
+from .core.execution import DEFAULT_ENGINE, ENGINES
 from .core.experiment import Experiment
 from .core.pipeline_model import interjob_speedup
 from .core.roofline import render_roofline, suite_roofline
@@ -93,7 +93,7 @@ def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
                         help="fail fast: abort the sweep at the first "
                              "permanent cell failure (exit 1) instead of "
                              "rendering gaps (exit 3)")
-    parser.add_argument("--engine", default="reference",
+    parser.add_argument("--engine", default=DEFAULT_ENGINE,
                         choices=tuple(ENGINES),
                         help="simulation engine (bit-identical results, "
                              "see docs/PERFORMANCE.md): "
@@ -138,7 +138,7 @@ def _executor_from_args(args) -> SweepExecutor:
                              progress=_progress_printer(), retry=retry,
                              journal=journal, resume=resume,
                              strict=getattr(args, "strict", False),
-                             engine=getattr(args, "engine", "reference"))
+                             engine=getattr(args, "engine", DEFAULT_ENGINE))
     except ValueError as error:
         raise SystemExit(str(error)) from error
 
@@ -481,7 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     frun.add_argument("--structure", default="figure",
                       choices=tuple(STRUCTURES),
                       help="DAG compilation structure (default: figure)")
-    frun.add_argument("--engine", default="fast", choices=tuple(ENGINES))
+    frun.add_argument("--engine", default=DEFAULT_ENGINE,
+                      choices=tuple(ENGINES))
     frun.add_argument("--lease", type=float, default=5.0, metavar="S",
                       help="lease heartbeat expiry (default: 5s)")
     frun.add_argument("--straggler-factor", type=float, default=4.0,
@@ -643,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("thread", "process"),
                        help="batch-executor backend (default: process — "
                             "required for crash/hang containment)")
-    serve.add_argument("--engine", default="reference",
+    serve.add_argument("--engine", default=DEFAULT_ENGINE,
                        choices=tuple(ENGINES),
                        help="simulation engine; non-reference engines "
                             "fall back to reference when the circuit "

@@ -74,6 +74,9 @@ ENGINES: Dict[str, EngineSpec] = {
         uses_phase_memo=True, analytic=True, fallback="fast"),
 }
 
+#: The engine every command runs unless told otherwise.
+DEFAULT_ENGINE = "vector"
+
 
 def engine_spec(engine: str) -> EngineSpec:
     """Resolve an engine name, raising the canonical error when unknown."""
@@ -448,34 +451,6 @@ def derive_compiled(rep, program: Program, system: SystemSpec,
         link=rep.link,
         copy_engines=rep.copy_engines,
         launches=rep.launches,
-    )
-
-
-def replay_result(compiled, mode: TransferMode, rng: np.random.Generator,
-                  system: SystemSpec, calib: Calibration,
-                  size_label: str, seed: int) -> RunResult:
-    """One spec's :class:`RunResult` from a compiled program.
-
-    Bit-identical to :func:`execute_program` on any engine for the same
-    seed stream; raises :class:`repro.sim.vecgrid.ContentionDetected`
-    when the replay meets genuine contention (callers fall back to the
-    per-spec path, which re-routes to the event engine).
-    """
-    from ..sim.vecgrid import replay_compiled
-    alloc_ns, memcpy_ns, kernel_ns, wall_ns, gpu_busy = replay_compiled(
-        compiled, rng, system, calib)
-    return RunResult(
-        workload=compiled.name,
-        mode=mode,
-        size=size_label,
-        seed=seed,
-        alloc_ns=alloc_ns,
-        memcpy_ns=memcpy_ns,
-        kernel_ns=kernel_ns,
-        wall_ns=wall_ns,
-        counters=compiled.counters,
-        occupancy=compiled.occupancy,
-        gpu_busy_fraction=gpu_busy,
     )
 
 

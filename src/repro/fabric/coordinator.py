@@ -203,10 +203,11 @@ class Coordinator:
     def _keep_fleet_alive(self, state: FabricState) -> None:
         if not self.respawn:
             return
-        for handle in self._handles:
+        for handle in list(self._handles):
             if not handle.alive and not state.complete:
-                handle.thread = None
-                handle.proc = None
+                # Drop the dead handle, or every later pass would
+                # respawn it again and the fleet would keep growing.
+                self._handles.remove(handle)
                 self.stats.workers_respawned += 1
                 self._spawn_worker(replacing=handle.worker_id)
 

@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Union
 
+from ..core.execution import DEFAULT_ENGINE
 from ..harness.executor import ResultCache
 from ..harness.resilience import SweepJournal
 from .dag import SpecDAG
@@ -36,7 +37,7 @@ from .leases import LeaseDir
 class FabricMeta:
     """Protocol tuning shared by every participant of one sweep."""
 
-    engine: str = "fast"
+    engine: str = DEFAULT_ENGINE
     lease_s: float = 5.0          # heartbeat older than this = expired
     heartbeat_s: float = 0.0      # 0 = lease_s / 3
     straggler_factor: float = 4.0  # redispatch at factor x group median

@@ -22,15 +22,19 @@ heartbeat is older than ``lease_s`` is *expired*: anyone may claim
 over it (with a higher token). A crashed worker therefore blocks its
 node for at most one lease term.
 
-**First commit wins.** Fencing closes the barn door *before* the
-result store; the store itself (``ResultCache.put``'s ``os.link``
-publish) and the journal reducer (first ``commit`` event per node)
-are each independently first-commit-wins, so even the unavoidable
-check-then-commit window — fence check passes, a steal lands, the
-zombie commits anyway — degrades to a duplicate of a bit-identical
-record, never corruption. Three independent layers must all fail for
-a wrong result to surface, and each is exercised separately in
-``tests/fabric/``.
+**One commit per node.** A fence check alone leaves a window: the
+check passes, a steal lands, and both holders go on to commit. So the
+commit is itself a fenced act: ``O_CREAT | O_EXCL`` creation of
+``node<id>.commit`` naming the committer's token, after the check and
+before the result store and the journal record. Of two holders that
+both passed the check exactly one creates the marker; the other is
+fenced. A holder killed between the marker and its journal record
+leaves a marker with no commit; the next claim over its expired lease
+clears it, so the node still waits at most one lease term. Behind the
+marker, the store (``ResultCache.put``'s ``os.link`` publish) and the
+journal reducer (first ``commit`` event per node) are each
+independently first-commit-wins, so a wrong result needs every layer
+to fail. Each is exercised separately in ``tests/fabric/``.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import threading
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -144,23 +149,28 @@ class LeaseDir:
         token file: of any number of racing claimants exactly one
         wins; losers return ``None`` and pick another node.
         """
-        current = self.read(node_id)
         granted = self.highest_token(node_id)
+        current = self.read(node_id)
         effective = max(granted, current.token if current else 0)
         if current is not None and not current.expired(lease_s):
             if beyond_token is None or effective > beyond_token:
                 return None
         token = effective + 1
+        now = time.time()
+        lease = Lease(node_id=node_id, worker=worker, token=token,
+                      acquired_ts=now, heartbeat_ts=now)
+        # Staged before the grant so the record lands right after it:
+        # a rival that sees the grant but not yet the record computes
+        # the next token and claims over a lease just taken.
+        staged = self._stage(lease)
         try:
             fd = os.open(self.root / f"node{node_id}.t{token}",
                          os.O_CREAT | os.O_EXCL | os.O_WRONLY)
             os.close(fd)
         except FileExistsError:
+            staged.unlink(missing_ok=True)
             return None  # lost the token race; caller moves on
-        now = time.time()
-        lease = Lease(node_id=node_id, worker=worker, token=token,
-                      acquired_ts=now, heartbeat_ts=now)
-        self._write(lease)
+        staged.replace(self.lease_path(node_id))
         return lease
 
     def renew(self, lease: Lease) -> Optional[Lease]:
@@ -190,6 +200,40 @@ class LeaseDir:
         the authority; see :meth:`renew`).
         """
         return self.highest_token(lease.node_id) <= lease.token
+
+    def commit_path(self, node_id: int) -> Path:
+        return self.root / f"node{node_id}.commit"
+
+    def commit(self, lease: Lease) -> bool:
+        """Take the node's one commit: ``O_CREAT|O_EXCL`` creation of
+        ``node<id>.commit`` holding our token. False means another
+        holder committed (or is committing) the node, and this one
+        must fence out."""
+        try:
+            fd = os.open(self.commit_path(lease.node_id),
+                         os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            return False
+        try:
+            os.write(fd, str(lease.token).encode())
+        finally:
+            os.close(fd)
+        return True
+
+    def committer(self, node_id: int) -> Optional[int]:
+        """The token the node's commit marker names (0 if a crash tore
+        it before the token was written), or ``None`` if there is none."""
+        try:
+            text = self.commit_path(node_id).read_text()
+        except FileNotFoundError:
+            return None
+        return int(text) if text.isdigit() else 0
+
+    def clear_commit(self, node_id: int) -> None:
+        """Unlink the commit marker of a holder that died before
+        journaling its commit. The caller must have checked the
+        journal: a journaled commit's marker fences stale claimants."""
+        self.commit_path(node_id).unlink(missing_ok=True)
 
     def release(self, lease: Lease) -> None:
         """Drop the lease after commit (only if we still hold it).
@@ -225,10 +269,14 @@ class LeaseDir:
 
     # ------------------------------------------------------------------
     def _write(self, lease: Lease) -> None:
+        self._stage(lease).replace(self.lease_path(lease.node_id))
+
+    def _stage(self, lease: Lease) -> Path:
         path = self.lease_path(lease.node_id)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.t{lease.token}.tmp")
+        tmp = path.with_name(f".{path.name}.{os.getpid()}."
+                             f"{threading.get_ident()}.t{lease.token}.tmp")
         tmp.write_text(json.dumps({
             "node_id": lease.node_id, "worker": lease.worker,
             "token": lease.token, "acquired_ts": lease.acquired_ts,
             "heartbeat_ts": lease.heartbeat_ts}))
-        tmp.replace(path)
+        return tmp

@@ -9,13 +9,16 @@ re-reduces the shared journal + lease directory via
 2. pick a claimable node — same compile-group as the last one when
    possible (tape affinity: the vector engine compiles each group
    once per process), lowest ``node_id`` otherwise;
-3. claim it (fenced token + lease), start heartbeating;
+3. claim it (fenced token + lease), start heartbeating; a claim over
+   an expired lease first clears a commit marker its dead holder left
+   without a journaled commit;
 4. run it: cache hit, or engine execution timed for the straggler
    baseline; prewarm nodes build their group's program instead;
-5. fence-check, then commit: first ``ResultCache.put`` wins the
-   result, the journal gets one line carrying both the checkpoint
-   view (``key``/``status``) and the event view (``commit``/node/
-   worker/token/runtime);
+5. fence-check, then commit: the ``O_EXCL`` commit marker admits one
+   holder, first ``ResultCache.put`` wins the result, the journal
+   gets one line carrying both the checkpoint view (``key``/
+   ``status``) and the event view (``commit``/node/worker/token/
+   runtime);
 6. release the lease and go to 1.
 
 Chaos hooks (:func:`repro.harness.faults.fabric_fault`, keyed on the
@@ -129,6 +132,8 @@ class FabricWorker:
                                       beyond_token=beyond)
             if lease is None:
                 continue  # lost the race; re-snapshot and move on
+            if beyond is None:
+                self._reclaim_commit(lease)
             self._run_node(self.dag[node.node_id], lease,
                            prior_errors=node.errors)
 
@@ -214,7 +219,8 @@ class FabricWorker:
                 self.leases.release(lease)
                 return
             runtime_s = time.perf_counter() - begin
-        if self._fenced or not self.leases.check(lease):
+        if (self._fenced or not self.leases.check(lease)
+                or not self.leases.commit(lease)):
             self._fence_out(node, lease)
             return
         self.cache.put(key, result)  # first commit wins
@@ -231,7 +237,8 @@ class FabricWorker:
         # build the group's program once and fingerprint it (warming
         # the per-process program memo every later cell hits).
         program_fingerprint(node.spec)
-        if self._fenced or not self.leases.check(lease):
+        if (self._fenced or not self.leases.check(lease)
+                or not self.leases.commit(lease)):
             self._fence_out(node, lease)
             return
         self.journal.append_event("commit", node=node.node_id,
@@ -250,6 +257,22 @@ class FabricWorker:
             extra={"event": "error", "node": node.node_id,
                    "worker": self.worker_id, "token": lease.token,
                    "terminal": terminal or None})
+
+    def _reclaim_commit(self, lease) -> None:
+        # Without ``beyond_token`` a claim succeeds only over no lease
+        # or an expired one: every lower token's holder is silent. Its
+        # marker with no journaled commit is from a worker killed
+        # mid-commit and would block the node forever.
+        holder = self.leases.committer(lease.node_id)
+        if holder is None or holder >= lease.token or any(
+                event.get("event") == "commit"
+                and event.get("node") == lease.node_id
+                for event in self.journal.events()):
+            return
+        self.leases.clear_commit(lease.node_id)
+        self.journal.append_event("reclaim", node=lease.node_id,
+                                  worker=self.worker_id, token=lease.token,
+                                  committer=holder)
 
     def _fence_out(self, node: SpecNode, lease) -> None:
         # Someone out-fenced us (crash recovery or speculative

@@ -702,8 +702,7 @@ class SweepStats:
     families_fused: int = 0
     families_rerouted: int = 0
     #: reroute counts keyed by the classifier rule that fired
-    #: (``FamilyRerouted.rule``), plus ``"contention"`` for per-spec
-    #: ``ContentionDetected`` bails and ``"residual-guard"`` for fused
+    #: (``FamilyRerouted.rule``), plus ``"residual-guard"`` for fused
     #: rows whose per-spec guards failed.
     reroute_rules: Dict[str, int] = field(default_factory=dict)
 
@@ -818,8 +817,7 @@ class SweepExecutor:
                  resume: bool = False,
                  strict: bool = False,
                  engine: str = "reference",
-                 isolate: bool = False,
-                 fuse: bool = True):
+                 isolate: bool = False):
         if backend not in _BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r}; expected one of {_BACKENDS}")
@@ -849,11 +847,6 @@ class SweepExecutor:
         # coordinating process — the containment contract a long-lived
         # server (repro.service) needs for every batch it dispatches.
         self.isolate = isolate
-        # ``fuse`` selects the axis-fused family replay inside the
-        # grid precompute (analytic engines only); ``fuse=False`` keeps
-        # PR 7's per-cell replay — the A/B leg the axis-speedup perf
-        # gate measures against.  Either way results are bit-identical.
-        self.fuse = fuse
         self.last = SweepStats()
         self.last_outcome: Optional[SweepOutcome] = None
         self._env_fp: Optional[str] = None
@@ -1080,16 +1073,14 @@ class SweepExecutor:
                 # in-process backends can serve from the coordinator's
                 # dict; process workers keep the per-spec path.
                 self._precompute_grid([spec for _, spec, _ in pending])
-            if (pending and self._grid and self.fuse and not use_pool
+            if (pending and self._grid and not use_pool
                     and faults.active_plan() is None):
                 # Bulk-settle: with no fault plan installed, a grid hit
                 # cannot raise inside ``_execute_local``, so the
                 # per-spec retry loop is pure overhead for precomputed
                 # results — publish them directly (same order, same
                 # journal/cache writes) and leave only the misses to
-                # the serial path.  Rides the ``fuse`` switch so
-                # ``fuse=False`` stays the exact PR 7 execution path
-                # for the axis-speedup A/B measurement.
+                # the serial path.
                 #
                 # Outcomes settle and tick per spec; cache and journal
                 # writes go out per sweep family (contiguous in spec
@@ -1357,32 +1348,28 @@ class SweepExecutor:
     def _precompute_grid(self, specs: Sequence[RunSpec]) -> None:
         """Compile each program structure once and replay every spec.
 
-        Two tiers of batching feed ``self._grid``:
+        Specs sharing ``(coords, mode, carveout)`` form a coordinate
+        cell with one compiled tape; the phase memo is batch-warmed
+        across every cell in one array program before any compile
+        runs.  Cells sharing ``(workload, mode, base_seed, seed_salt)``
+        and varying along at most one sensitivity axis form a family:
+        one compile per cell (siblings derived from the head cell's
+        tape when the program structure matches), one classifier proof
+        and one vectorized replay for the whole family
+        (:func:`repro.sim.vecgrid.replay_family`).
 
-        * **Coordinate groups** (PR 7): specs sharing ``(coords, mode,
-          carveout)`` share one compiled tape; the phase memo is
-          batch-warmed across every group in one array program before
-          any compile runs.
-        * **Families** (axis fusion, ``fuse=True``): coordinate groups
-          sharing ``(workload, mode, base_seed, seed_salt)`` and
-          varying along at most one sensitivity axis fuse into a
-          single 2-D array program — one compile per cell (siblings
-          derived from the head cell's tape when the program structure
-          matches), one classifier proof and one vectorized replay for
-          the whole family (:func:`repro.sim.vecgrid.replay_family`).
-
-        Anything that cannot be precomputed — a classifier reroute, a
-        contention bail, a compile error, an unsupported structure —
-        falls back a tier (family -> per-cell -> per-spec path), so
-        this method can only accelerate, never change, a sweep's
-        results.  Reroutes are tallied into ``self._reroute_rules``
-        for the ``[sweep]`` summary.
+        Anything that cannot be fused falls back a tier: a rerouted
+        family fuses cell by cell, and a cell that still reroutes, a
+        row that fails a residual guard or a compile error is left out
+        of ``self._grid`` for the per-spec path.  This method can only
+        accelerate, never change, a sweep's results.  Reroutes are
+        tallied into ``self._reroute_rules`` for the ``[sweep]``
+        summary.
         """
         from ..core.execution import (compile_program, derive_compiled,
                                       iter_phase_cells,
                                       program_structure_key)
-        from ..sim.vecgrid import (FamilyRerouted, compile_family,
-                                   prewarm_phase_memo)
+        from ..sim.vecgrid import prewarm_phase_memo
         system = self.system or default_system()
         calib = self.calib or default_calibration()
         memo = self._phase_memo
@@ -1402,19 +1389,6 @@ class SweepExecutor:
                     cells.extend(iter_phase_cells(program_for(members[0]),
                                                   mode, carveout, system))
                 prewarm_phase_memo(memo, cells)
-            if not self.fuse:
-                for (_, mode, carveout), members in groups.items():
-                    program = program_for(members[0])
-                    try:
-                        compiled = compile_program(
-                            program, mode, system, calib,
-                            smem_carveout_bytes=carveout,
-                            kernel_sim=kernel_sim)
-                    except Exception:
-                        continue  # per-spec path handles this group
-                    self._grid_groups += 1
-                    self._replay_cells(compiled, members, system, calib)
-                return
             families: Dict[Tuple, Dict[Tuple, List[RunSpec]]] = {}
             for group_key, members in groups.items():
                 spec0 = members[0]
@@ -1454,21 +1428,16 @@ class SweepExecutor:
                         fused_cells.append((group_key, members, compiled))
                     if not fused_cells:
                         continue
-                    fam = None
-                    if sum(len(m) for _, m, _ in fused_cells) > 1:
-                        try:
-                            fam = compile_family(
-                                [c for _, _, c in fused_cells], calib)
-                        except FamilyRerouted as rerouted:
-                            self._families_rerouted += 1
-                            self._count_reroute(rerouted.rule)
-                    if fam is None:
-                        for _, members, compiled in fused_cells:
-                            self._replay_cells(compiled, members,
-                                               system, calib)
-                        continue
-                    self._families_fused += 1
-                    self._replay_fused(fam, fused_cells, system, calib)
+                    fam = self._compile_family(fused_cells, calib)
+                    if fam is not None:
+                        self._replay_fused(fam, fused_cells, system, calib)
+                    elif len(fused_cells) > 1:
+                        # A rerouted family fuses cell by cell.
+                        for cell in fused_cells:
+                            fam = self._compile_family([cell], calib)
+                            if fam is not None:
+                                self._replay_fused(fam, [cell], system,
+                                                   calib)
         except Exception:  # pragma: no cover - defensive
             # A broken precompute must never take the sweep down; the
             # per-spec path recomputes anything missing or partial.
@@ -1478,22 +1447,17 @@ class SweepExecutor:
     def _count_reroute(self, rule: str, count: int = 1) -> None:
         self._reroute_rules[rule] = self._reroute_rules.get(rule, 0) + count
 
-    def _replay_cells(self, compiled, members: Sequence[RunSpec],
-                      system, calib) -> None:
-        """Per-cell replay (the PR 7 path): one scalar replay per spec
-        from its coordinate group's compiled tape."""
-        from ..core.execution import replay_result
-        from ..sim.vecgrid import ContentionDetected
-        for spec in members:
-            rng = rng_for_spec(spec)
-            try:
-                self._grid[spec] = replay_result(
-                    compiled, spec.mode, rng, system, calib,
-                    spec.size, spec.iteration)
-            except ContentionDetected:
-                # Per-spec path re-routes to the event engine; make
-                # the reroute visible in the sweep summary.
-                self._count_reroute("contention")
+    def _compile_family(self, fused_cells, calib):
+        """The family's array program, or ``None`` (reroute tallied)."""
+        from ..sim.vecgrid import FamilyRerouted, compile_family
+        try:
+            fam = compile_family([c for _, _, c in fused_cells], calib)
+        except FamilyRerouted as rerouted:
+            self._families_rerouted += 1
+            self._count_reroute(rerouted.rule)
+            return None
+        self._families_fused += 1
+        return fam
 
     def _replay_fused(self, fam, fused_cells, system, calib) -> None:
         """One vectorized replay for a whole family's specs.
@@ -1507,8 +1471,8 @@ class SweepExecutor:
         include the fused axis, so specs that differ only along it
         share an identical stream — each distinct ``(size, iteration,
         spill footprint)`` is drawn once and gathered onto its rows.
-        Rows whose per-spec residual guards fail fall back to the
-        scalar per-cell replay.
+        Rows whose per-spec residual guards fail stay out of
+        ``self._grid`` and take the per-spec path.
         """
         from ..sim.hostmem import place_host_data
         from ..sim.vecgrid import replay_family
@@ -1597,7 +1561,6 @@ class SweepExecutor:
                 if checks and (not valid[i] or a < 0.0 or m < 0.0
                                or k < 0.0 or w < 0.0):
                     invalid += 1
-                    self._replay_cells(compiled, (spec,), system, calib)
                     continue
                 grid[spec] = replayed({
                     "workload": name, "mode": spec.mode,
@@ -1630,33 +1593,54 @@ class SweepExecutor:
                     outcomes: List[Optional[SpecOutcome]], total: int,
                     strict: bool) -> None:
         policy = self.retry
-        for index, spec, key in pending:
-            attempt = 0
-            while True:
-                attempt += 1
-                try:
-                    run = self._execute_local(spec, attempt)
-                except KeyboardInterrupt:
-                    raise
-                except Exception as error:
-                    if attempt < policy.max_attempts:
-                        self._retries += 1
-                        delay = policy.delay_s(spec, attempt)
-                        if delay > 0:
-                            time.sleep(delay)
-                        continue
-                    self._settle(SpecOutcome(
-                        spec=spec, index=index, status=SpecStatus.FAILED,
-                        error=f"{type(error).__name__}: {error}",
-                        traceback=self._format_traceback(error),
-                        attempts=attempt, key=key), outcomes, total, strict)
-                    break
-                else:
-                    self._settle(SpecOutcome(
+        # With no fault plan (its cache chaos acts per ``put``), fresh
+        # OK outcomes publish per sweep family as in bulk-settle: one
+        # pack and one journal append per run of same-family specs.
+        # Anything else, and any exit, flushes the family first.
+        batch = faults.active_plan() is None
+        family: List[SpecOutcome] = []
+        try:
+            for index, spec, key in pending:
+                attempt = 0
+                while True:
+                    attempt += 1
+                    try:
+                        run = self._execute_local(spec, attempt)
+                    except KeyboardInterrupt:
+                        raise
+                    except Exception as error:
+                        if attempt < policy.max_attempts:
+                            self._retries += 1
+                            delay = policy.delay_s(spec, attempt)
+                            if delay > 0:
+                                time.sleep(delay)
+                            continue
+                        self._publish_family(family)
+                        family = []
+                        self._settle(SpecOutcome(
+                            spec=spec, index=index,
+                            status=SpecStatus.FAILED,
+                            error=f"{type(error).__name__}: {error}",
+                            traceback=self._format_traceback(error),
+                            attempts=attempt, key=key),
+                            outcomes, total, strict)
+                        break
+                    outcome = SpecOutcome(
                         spec=spec, index=index, status=SpecStatus.OK,
-                        result=run, attempts=attempt, key=key),
-                        outcomes, total, strict)
+                        result=run, attempts=attempt, key=key)
+                    if not batch or key is None:
+                        self._settle(outcome, outcomes, total, strict)
+                        break
+                    if family and \
+                            _family_id(family[0].spec) != _family_id(spec):
+                        self._publish_family(family)
+                        family = []
+                    family.append(outcome)
+                    self._settle(outcome, outcomes, total, strict,
+                                 journal=False, store=False)
                     break
+        finally:
+            self._publish_family(family)
 
     # ------------------------------------------------------------------
     # Pooled execution: submit/wait with failure isolation

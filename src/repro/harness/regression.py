@@ -227,8 +227,7 @@ def _clear_sim_caches() -> None:
 
 
 def measure_engine(engine: str, specs: Sequence,
-                   repeats: int = DEFAULT_BENCH_REPEATS,
-                   fuse: bool = True) -> Dict:
+                   repeats: int = DEFAULT_BENCH_REPEATS) -> Dict:
     """Cold/warm wall-time samples for one engine over one spec list.
 
     Protocol: one untimed warm-up sweep (imports, allocator churn, the
@@ -236,16 +235,13 @@ def measure_engine(engine: str, specs: Sequence,
     sweep -> timed warm sweep).  No result cache and no journal: the
     samples time simulation, not disk.
 
-    ``fuse=False`` measures the vector engine with axis fusion
-    disabled — the per-cell replay leg of the axis-speedup gate.
-
     Besides the timing series, the sample dict carries a ``fusion``
     section (family fused/reroute counts, per-rule reroute tallies)
     from the executor's last cold sweep, so every ``BENCH_*.json``
     records *how* the vector engine earned its timings.
     """
     from .executor import SweepExecutor
-    executor = SweepExecutor(jobs=1, engine=engine, fuse=fuse)
+    executor = SweepExecutor(jobs=1, engine=engine)
     _clear_sim_caches()
     executor.run(specs)  # warm-up, untimed
     cold: List[float] = []
@@ -326,87 +322,6 @@ def collect_bench(engines: Sequence[str] = DEFAULT_BENCH_ENGINES,
                 _mean(fast["warm_s"]) / _mean(vector["warm_s"]),
         }
     return payload
-
-
-# ----------------------------------------------------------------------
-# Axis-fusion speedup (the `repro bench` A/B the perf gate checks)
-# ----------------------------------------------------------------------
-#: The axis gate measures the paper's actual 30-run distributions:
-#: fixed costs (phase prewarm, family compiles) dominate shorter
-#: grids, while the per-spec marginal cost is what fusion changes.
-AXIS_GATE_ITERATIONS = 30
-AXIS_GATE_FLOOR = 3.0
-
-
-@dataclass
-class AxisSpeedup:
-    """Fused vs per-cell vector-engine timings on one grid."""
-
-    grid: str
-    specs: int
-    iterations: int
-    repeats: int
-    fused_s: List[float]
-    unfused_s: List[float]
-    fusion: Dict
-
-    @property
-    def best_fused_s(self) -> float:
-        return min(self.fused_s)
-
-    @property
-    def best_unfused_s(self) -> float:
-        return min(self.unfused_s)
-
-    @property
-    def speedup(self) -> float:
-        """min/min cold ratio: scheduler noise only slows a leg down."""
-        return self.best_unfused_s / self.best_fused_s
-
-    def render(self) -> str:
-        per_spec_us = 1e6 / self.specs
-        fused = self.best_fused_s
-        unfused = self.best_unfused_s
-        return "\n".join([
-            f"axis-fusion speedup gate (cold {self.grid} grid, vector "
-            "engine:",
-            f"fused family replay vs per-cell replay; {self.specs} specs,",
-            f"{self.iterations} iterations; best of {self.repeats}; "
-            "jobs=1, no cache)",
-            "",
-            f"specs:            {self.specs}",
-            f"families fused:   {self.fusion.get('families_fused', 0)}"
-            f" ({self.fusion.get('families_rerouted', 0)} rerouted)",
-            f"per-cell replay:  {unfused:.4f}s  "
-            f"({unfused * per_spec_us:.0f}us/spec)",
-            f"fused replay:     {fused:.4f}s  "
-            f"({fused * per_spec_us:.0f}us/spec)",
-            f"speedup:          {self.speedup:.2f}x  "
-            f"(gate: >= {AXIS_GATE_FLOOR:.0f}x)",
-        ])
-
-
-def measure_axis_speedup(iterations: int = AXIS_GATE_ITERATIONS,
-                         repeats: int = DEFAULT_BENCH_REPEATS,
-                         base_seed: int = 1234,
-                         grid: str = DEFAULT_BENCH_GRID) -> AxisSpeedup:
-    """A/B the vector engine against itself with fusion disabled.
-
-    Both legs run the identical cold protocol
-    (:func:`measure_engine`); the only difference is the executor's
-    ``fuse`` flag, so the ratio isolates exactly what axis fusion
-    buys over PR 7's per-cell replay.  Results are bit-identical
-    between the legs (pinned by the differential battery), so this is
-    a pure perf comparison.
-    """
-    specs = bench_grid_specs(iterations=iterations, base_seed=base_seed,
-                             grid=grid)
-    fused = measure_engine("vector", specs, repeats=repeats, fuse=True)
-    unfused = measure_engine("vector", specs, repeats=repeats, fuse=False)
-    return AxisSpeedup(grid=grid, specs=len(specs), iterations=iterations,
-                       repeats=repeats, fused_s=fused["cold_s"],
-                       unfused_s=unfused["cold_s"],
-                       fusion=fused["fusion"])
 
 
 def validate_bench(payload: Dict) -> None:

@@ -34,6 +34,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..core.configs import ALL_MODES, TransferMode
+from ..core.execution import DEFAULT_ENGINE
 from ..harness.executor import (ResultCache, RunSpec, SweepExecutor,
                                 cache_key, default_cache_dir,
                                 environment_fingerprint, expand_grid)
@@ -78,7 +79,7 @@ class ServiceConfig:
     #: concurrent batches, up to ``batch_size`` specs per batch.
     jobs: int = 1
     backend: str = "process"
-    engine: str = "reference"
+    engine: str = DEFAULT_ENGINE
     slots: int = 2
     batch_size: int = 8
     retries: int = 1

@@ -33,8 +33,8 @@ from .trace import Timeline, TraceEvent
 from .uvm import (ManagedAllocation, ManagedSpace, MigrationPlan, UvmError,
                   fault_batches, migration_blocks)
 from .vecgrid import (AnalyticRuntime, CompiledProgram, ContentionDetected,
-                      VecStats, prewarm_phase_memo, replay_compiled,
-                      simulate_phase_grid, vec_stats)
+                      VecStats, prewarm_phase_memo, simulate_phase_grid,
+                      vec_stats)
 
 __all__ = [
     "AccessPattern", "AsyncMechanism", "BufferDirection", "BufferSpec", "Calibration",
@@ -56,6 +56,5 @@ __all__ = [
     "device_synchronize", "FastEnvironment", "PhaseMemo", "Timeout",
     "clear_phase_memos", "phase_memo_for",
     "AnalyticRuntime", "CompiledProgram", "ContentionDetected", "VecStats",
-    "prewarm_phase_memo", "replay_compiled", "simulate_phase_grid",
-    "vec_stats",
+    "prewarm_phase_memo", "simulate_phase_grid", "vec_stats",
 ]

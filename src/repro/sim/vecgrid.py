@@ -55,7 +55,6 @@ from .sm import (ASYNC_MLP_FACTOR, BYTES_PER_REGISTER,
                  FULL_UTILIZATION_THREADS, PER_SM_BANDWIDTH_CAP,
                  PER_THREAD_BANDWIDTH)
 from .timing import ConfigFlags, KernelExecution
-from .trace import merge_intervals
 
 #: A phase cell: the exact :class:`~repro.sim.phasecache.PhaseMemo`
 #: key — ``(descriptor, flags, smem_carveout_bytes, resident_fraction)``.
@@ -79,9 +78,10 @@ class FamilyRerouted(Exception):
     ``noise-pattern``, ``degenerate-duration``, ``duration-mismatch``,
     ``boundary-tie``, ``engine-queue``, ``schedule-divergence``,
     ``empty``).  Unlike :class:`ContentionDetected` this is a
-    *family*-level verdict: the caller replays each member cell
-    individually (PR 7 path), which is still bit-identical — rerouting
-    only ever changes how fast the answer is produced.
+    *family*-level verdict: the caller fuses each member cell as its
+    own one-cell family, and a cell that still reroutes takes the
+    per-spec path — rerouting only ever changes how fast the answer is
+    produced.
     """
 
     def __init__(self, rule: str, detail: str = ""):
@@ -98,8 +98,7 @@ class VecStats:
     cells_batched: int = 0    # phase cells evaluated by array programs
     grids: int = 0            # simulate_phase_grid invocations
     compiled_groups: int = 0  # program structures compiled to op lists
-    replayed: int = 0         # specs served by compiled-op replay
-    fused_specs: int = 0      # specs served by axis-fused family replay
+    replayed: int = 0         # specs served by family replay
     families_fused: int = 0   # families that passed the fusion proof
     families_rerouted: int = 0  # families the classifier rejected
     prewarm_dedup: int = 0    # duplicate prewarm cells skipped
@@ -116,7 +115,6 @@ class VecStats:
         self.grids = 0
         self.compiled_groups = 0
         self.replayed = 0
-        self.fused_specs = 0
         self.families_fused = 0
         self.families_rerouted = 0
         self.prewarm_dedup = 0
@@ -555,16 +553,15 @@ def prewarm_phase_memo(memo: PhaseMemo,
 
 
 # ----------------------------------------------------------------------
-# Whole-grid batching: compile once per program structure, replay per
-# spec.  A sensitivity grid re-runs the same (program, mode, carveout)
-# structure for every iteration and seed; the op *sequence* and every
-# pre-noise duration are identical across those runs (noise multiplies
-# recorded durations, it never reorders operations).  So the grid
-# runner compiles the structure once — by driving the real process
-# generators through a recording runtime, never by re-deriving the
-# logic — and then replays the compiled ops per spec with only that
-# spec's RNG draws, through the same settlement classifier as
-# :class:`AnalyticRuntime`.
+# Whole-grid batching: compile once per program structure.  A
+# sensitivity grid re-runs the same (program, mode, carveout) structure
+# for every iteration and seed; the op *sequence* and every pre-noise
+# duration are identical across those runs (noise multiplies recorded
+# durations, it never reorders operations).  So the grid runner
+# compiles the structure once — by driving the real process generators
+# through a recording runtime, never by re-deriving the logic — and
+# then replays the compiled ops of a whole family of cells with only
+# each spec's RNG draws (axis fusion, below).
 # ----------------------------------------------------------------------
 #: Compiled opcodes (plain tuples keep the replay loop allocation-free).
 _OP_HOST = 0     # (op, label, category, base_ns, sigma, charges_jitter)
@@ -734,180 +731,6 @@ class CompilerRuntime(CudaRuntime):
         return compiled
 
 
-def replay_compiled(compiled: CompiledProgram, rng: np.random.Generator,
-                    system: SystemSpec, calib: Calibration
-                    ) -> Tuple[float, float, float, float, float]:
-    """One spec's measurements from a compiled program.
-
-    Bit-identical to running the spec through :class:`AnalyticRuntime`
-    (and therefore to the event engines): identical draw order —
-    placement first, then batched standard normals consumed in op order
-    (``rng.standard_normal(n)`` yields the same stream as ``n`` scalar
-    draws, ``lognormal(0, s)`` equals ``exp(s*z)`` and ``normal(0, s)``
-    equals ``0.0 + s*z`` bitwise) — identical float expressions,
-    identical settlement, and the same :class:`ContentionDetected`
-    bail-outs.  Returns ``(alloc_ns, memcpy_ns, kernel_ns, wall_ns,
-    gpu_busy_fraction)``.
-
-    The generator may be advanced *past* what the per-spec path would
-    consume (the draw batch is an upper bound); callers that need the
-    exact post-run stream must not reuse ``rng`` afterwards.
-    """
-    noise = calib.noise
-    placement = place_host_data(compiled.footprint_bytes, system.cpu,
-                                noise, rng)
-    multiplier = placement.time_multiplier
-    unit = multiplier == 1.0
-    z = rng.standard_normal(compiled.draws).tolist() if compiled.draws \
-        else []
-    cursor = 0
-    total_draws = len(z)
-    os_jitter = noise.os_jitter_ns
-    memcpy_sigma = noise.memcpy_sigma
-    duration_ns = compiled.link.duration_ns
-    copy_engines = compiled.copy_engines
-
-    now = 0.0
-    pending: List[Tuple[str, float, float]] = []
-    alloc_ns = 0.0
-    memcpy_ns = 0.0
-    kernel_ns = 0.0
-    gpu_spans: List[Tuple[float, float]] = []
-    min_start = math.inf
-    max_end = -math.inf
-
-    def settle_through(boundary: float) -> None:
-        nonlocal memcpy_ns, min_start, max_end, cursor
-        if not pending:
-            return
-        pending.sort(key=lambda entry: entry[2])
-        while pending:
-            label, start, end = pending[0]
-            if end > boundary:
-                break
-            if end == boundary or (len(pending) > 1
-                                   and end == pending[1][2]):
-                raise ContentionDetected(
-                    f"migration train {label!r} ends on a same-time event "
-                    "boundary; completion order would depend on heap "
-                    "sequence numbers")
-            pending.pop(0)
-            value = end - start
-            if memcpy_sigma > 0 and value > 0:
-                if cursor < total_draws:
-                    draw = z[cursor]
-                else:  # pragma: no cover - draw-count upper bound holds
-                    draw = float(rng.standard_normal())
-                cursor += 1
-                value = value * math.exp(memcpy_sigma * draw)
-            noisy_end = start + value
-            event_end = max(noisy_end, start)
-            memcpy_ns += event_end - start
-            if start < min_start:
-                min_start = start
-            if event_end > max_end:
-                max_end = event_end
-
-    for op in compiled.ops:
-        code = op[0]
-        if code == _OP_HOST:
-            _, _label, category, duration, sigma, jitter = op
-            if jitter:
-                if cursor < total_draws:
-                    draw = z[cursor]
-                else:  # pragma: no cover - draw-count upper bound holds
-                    draw = float(rng.standard_normal())
-                cursor += 1
-                duration = duration + abs(0.0 + os_jitter * draw)
-            if sigma > 0 and duration > 0:
-                if cursor < total_draws:
-                    draw = z[cursor]
-                else:  # pragma: no cover - draw-count upper bound holds
-                    draw = float(rng.standard_normal())
-                cursor += 1
-                duration = duration * math.exp(sigma * draw)
-            start = now
-            end = start + duration
-            settle_through(end)
-            now = end
-            alloc_ns += end - start
-            if start < min_start:
-                min_start = start
-            if end > max_end:
-                max_end = end
-        elif code == _OP_XFER:
-            if len(pending) + 1 > copy_engines:
-                raise ContentionDetected(
-                    f"transfer {op[1]!r} would queue for a DMA copy engine "
-                    f"({len(pending)} trains already in flight, "
-                    f"{copy_engines} engines)")
-            duration = op[4] if unit else duration_ns(op[2], op[3],
-                                                      multiplier)
-            start = now
-            end = start + duration
-            settle_through(end)
-            now = end
-            value = end - start
-            if memcpy_sigma > 0 and value > 0:
-                if cursor < total_draws:
-                    draw = z[cursor]
-                else:  # pragma: no cover - draw-count upper bound holds
-                    draw = float(rng.standard_normal())
-                cursor += 1
-                value = value * math.exp(memcpy_sigma * draw)
-            noisy_end = start + value
-            event_end = max(noisy_end, start)
-            memcpy_ns += event_end - start
-            if start < min_start:
-                min_start = start
-            if event_end > max_end:
-                max_end = event_end
-        elif code == _OP_SPAWN:
-            if len(pending) + 1 > copy_engines:
-                raise ContentionDetected(
-                    f"migration {op[1]!r} would queue for a DMA copy engine "
-                    f"({len(pending)} trains already in flight, "
-                    f"{copy_engines} engines)")
-            duration = op[3] if unit else duration_ns(
-                TransferKind.MIGRATE_H2D, op[2], multiplier)
-            pending.append((op[1], now, now + duration))
-        else:  # _OP_KERNEL
-            _, _label, duration, sigma = op
-            if sigma > 0 and duration > 0:
-                if cursor < total_draws:
-                    draw = z[cursor]
-                else:  # pragma: no cover - draw-count upper bound holds
-                    draw = float(rng.standard_normal())
-                cursor += 1
-                duration = duration * math.exp(sigma * draw)
-            start = now
-            end = start + duration
-            settle_through(end)
-            now = end
-            kernel_ns += end - start
-            gpu_spans.append((start, end))
-            if start < min_start:
-                min_start = start
-            if end > max_end:
-                max_end = end
-
-    settle_through(math.inf)
-
-    if max_end < min_start:  # no events at all
-        wall = 0.0
-    else:
-        wall = max_end - min_start
-    if wall > 0 and gpu_spans:
-        busy = sum(end - start
-                   for start, end in merge_intervals(gpu_spans))
-        gpu_busy = busy / wall
-    else:
-        gpu_busy = 0.0
-    _STATS.replayed += 1
-    _STATS.analytic_runs += 1
-    return (alloc_ns, memcpy_ns, kernel_ns, wall, gpu_busy)
-
-
 # ----------------------------------------------------------------------
 # Axis fusion: compile a whole sweep *family* — every cell sharing a
 # ``(workload, mode)``, varying along one sensitivity axis (threads /
@@ -934,9 +757,13 @@ def replay_compiled(compiled: CompiledProgram, rng: np.random.Generator,
 #    takes (train settles strictly inside its canonical window, no
 #    same-time boundaries, every conditional noise draw actually taken,
 #    GPU busy-groups strictly separated).  Specs that fail any guard
-#    are *invalid* in the returned mask and the caller replays them
-#    per-cell — the family result is used only where it is provably
-#    the bitwise-identical answer.
+#    are *invalid* in the returned mask and the caller runs them
+#    through the per-spec path — the family result is used only where
+#    it is provably the bitwise-identical answer.
+#
+# A family that fails the static proof is retried one cell at a time:
+# a one-cell family has no axis to diverge along, so only a cell whose
+# own canonical schedule contends takes the per-spec path.
 # ----------------------------------------------------------------------
 
 
@@ -1207,8 +1034,8 @@ def compile_family(cells: Sequence[CompiledProgram],
                 base[c, j] = op[2]
                 sigma[c, j] = op[3]
 
-    # --- static GPU busy-groups (see replay_compiled: spans separated
-    # only by zero-width spawn ops abut exactly and always merge) ------
+    # --- static GPU busy-groups (spans separated only by zero-width
+    # spawn ops abut exactly and always merge) ------------------------
     groups: List[Tuple[int, int]] = []
     first = last = -1
     for j, code in enumerate(codes):
@@ -1249,8 +1076,8 @@ class FamilyReplay:
 
     ``valid[i]`` is True iff spec ``i`` provably followed the canonical
     schedule, in which case row ``i`` of every array is bitwise equal
-    to the scalar replay.  Invalid rows hold unverified garbage and
-    must be recomputed per-cell by the caller.
+    to the scalar engines.  Invalid rows hold unverified garbage and
+    must be recomputed per spec by the caller.
     """
 
     alloc_ns: np.ndarray
@@ -1270,11 +1097,11 @@ def replay_family(fam: CompiledFamily, cell_index: np.ndarray,
     the caller, placement-first like the scalar replay) and ``z`` is
     the ``[spec, col]`` matrix of batched standard-normal draws — each
     row the exact prefix of the spec's post-placement stream.  Every
-    array expression mirrors the scalar ``replay_compiled`` operation
-    order per lane (same float ops, same libm exp), and every branch
-    the scalar replay could take differently is guarded into the
-    ``valid`` mask, so valid lanes are bitwise identical to the scalar
-    engines.
+    array expression mirrors the scalar :class:`AnalyticRuntime`
+    operation order per lane (same float ops, same libm exp), and
+    every branch the scalar path could take differently is guarded
+    into the ``valid`` mask, so valid lanes are bitwise identical to
+    the scalar engines.
     """
     n = multipliers.shape[0]
     with np.errstate(all="ignore"):
@@ -1399,8 +1226,35 @@ def replay_family(fam: CompiledFamily, cell_index: np.ndarray,
             gpu_busy = np.zeros(n, dtype=np.float64)
 
     served = int(np.count_nonzero(valid))
-    _STATS.fused_specs += served
     _STATS.replayed += served
     _STATS.analytic_runs += served
     return FamilyReplay(alloc_ns=alloc, memcpy_ns=memcpy, kernel_ns=kernel,
                         wall_ns=wall, gpu_busy=gpu_busy, valid=valid)
+
+
+def replay_compiled(compiled: CompiledProgram, rng: np.random.Generator,
+                    system: SystemSpec, calib: Calibration
+                    ) -> Optional[Tuple[float, float, float, float, float]]:
+    """One spec's measurements from a compiled program, as a one-cell
+    family, with the executor's draw order: the host placement first,
+    then ``cols`` standard normals.
+
+    Returns ``(alloc_ns, memcpy_ns, kernel_ns, wall_ns,
+    gpu_busy_fraction)``, or ``None`` when the cell reroutes or the
+    spec fails a residual guard (the per-spec path then answers).
+    """
+    try:
+        fam = compile_family([compiled], calib)
+    except FamilyRerouted:
+        return None
+    multiplier = place_host_data(compiled.footprint_bytes, system.cpu,
+                                 calib.noise, rng).time_multiplier
+    rep = replay_family(fam, np.zeros(1, dtype=np.intp),
+                        np.array([multiplier]),
+                        rng.standard_normal((1, fam.cols)))
+    row = tuple(float(values[0]) for values in (
+        rep.alloc_ns, rep.memcpy_ns, rep.kernel_ns, rep.wall_ns,
+        rep.gpu_busy))
+    if not rep.valid[0] or min(row[:4]) < 0.0:
+        return None
+    return row

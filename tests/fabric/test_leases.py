@@ -131,3 +131,28 @@ def test_all_leases_and_highest_token_survive_junk_files(tmp_path):
     assert leases.highest_token(0) == lease.token
     record = json.loads(leases.lease_path(0).read_text())
     assert record["worker"] == "w1"
+
+
+def test_commit_marker_names_its_token_until_cleared(tmp_path):
+    leases = LeaseDir(tmp_path)
+    first = leases.claim(6, "w1", lease_s=0.01)
+    assert leases.committer(6) is None
+    assert leases.commit(first)
+    assert leases.committer(6) == first.token
+    time.sleep(0.03)
+    second = leases.claim(6, "w2", lease_s=0.01)
+    assert not leases.commit(second)  # one commit per node
+    assert leases.committer(6) == first.token
+    leases.clear_commit(6)
+    assert leases.committer(6) is None
+    assert leases.commit(second)
+    assert leases.committer(6) == second.token
+
+
+def test_torn_commit_marker_names_token_zero(tmp_path):
+    leases = LeaseDir(tmp_path)
+    leases.commit_path(2).touch()  # crash between create and write
+    assert leases.committer(2) == 0
+    leases.clear_commit(2)
+    leases.clear_commit(2)  # already gone: no error
+    assert leases.committer(2) is None

@@ -295,6 +295,25 @@ class TestFleet:
         assert stats.workers_spawned == 3
         assert stats.elapsed_s > 0
 
+    def test_crashed_thread_is_replaced_not_multiplied(self, tmp_path):
+        specs = small_grid(iterations=3)
+        fabric = make_root(tmp_path, specs, lease_s=0.3)
+        plan = faults.FaultPlan(faults=(
+            faults.Fault.for_spec(specs[0],
+                                  kind=faults.KIND_WORKER_CRASH,
+                                  attempts=(1,)),))
+        coordinator = Coordinator(fabric, workers=2, spawn="thread",
+                                  monitor_s=0.02)
+        with faults.inject(plan):
+            outcome = coordinator.run(timeout_s=60.0)
+        assert outcome.complete
+        stats = coordinator.stats
+        assert stats.workers_respawned >= 1
+        assert stats.workers_spawned == 2 + stats.workers_respawned
+        # A respawned worker replaces its dead handle: the fleet keeps
+        # its size instead of gaining a worker on every monitor pass.
+        assert len(coordinator._handles) == 2
+
     def test_one_commit_event_per_node(self, tmp_path):
         specs = small_grid(iterations=3)
         fabric = make_root(tmp_path, specs, lease_s=2.0)
@@ -405,3 +424,94 @@ class TestDuplicateCommit:
         entry = run_to_record(cache.get(key), with_counters=True)
         assert entry == run_to_record(result, with_counters=True)
         assert worker._cache_get(spec, key) is not None
+
+
+class TestCommitFence:
+    def test_steal_between_check_and_commit_commits_once(self, tmp_path):
+        """Both holders pass the fence check: the zombie's check passes,
+        then a steal lands and the stealer commits first. The commit
+        marker admits one of them, so the node gets one commit event
+        and the zombie journals ``fenced``."""
+        specs = small_grid(iterations=1)
+        fabric = make_root(tmp_path, specs)
+        zombie = FabricWorker(fabric, "w1")
+        commit = zombie.leases.commit
+        stolen_nodes = []
+
+        def steal_then_commit(lease):
+            if not stolen_nodes:
+                rescuer = FabricWorker(fabric, "w2")
+                stolen = rescuer.leases.claim(
+                    lease.node_id, "w2", rescuer.meta.lease_s,
+                    beyond_token=lease.token)
+                assert stolen is not None and stolen.token > lease.token
+                rescuer._run_node(rescuer.dag[lease.node_id], stolen)
+                stolen_nodes.append(lease.node_id)
+            return commit(lease)
+
+        zombie.leases.commit = steal_then_commit
+        zombie.run()
+        [node_id] = stolen_nodes
+        events = fabric.journal().events()
+        commits = [e for e in events if e["event"] == "commit"]
+        assert sorted(e["node"] for e in commits) == list(range(len(
+            zombie.dag)))
+        [stolen_commit] = [e for e in commits if e["node"] == node_id]
+        assert stolen_commit["worker"] == "w2"
+        assert [e["worker"] for e in events if e["event"] == "fenced"
+                and e["node"] == node_id] == ["w1"]
+
+    def test_crash_between_commit_and_journal_does_not_block_node(
+            self, tmp_path):
+        """A worker killed after taking the commit marker but before
+        its journal ``commit`` record leaves a marker with no commit.
+        The next claim over its expired lease clears it, so the sweep
+        completes with one commit per node."""
+        specs = small_grid(iterations=2)
+        fabric = make_root(tmp_path, specs, lease_s=0.05)
+        victim = FabricWorker(fabric, "w1")
+
+        def crash(key, result):
+            raise WorkerCrashed("inline SIGKILL after the commit marker")
+
+        victim.cache.put = crash
+        with pytest.raises(WorkerCrashed):
+            victim.run()
+        assert fabric.leases().committer(0) == 1
+        time.sleep(0.08)  # the victim's lease expires
+        rescuer = FabricWorker(fabric, "w2")
+        rescuer.run(deadline_s=30.0)
+        state = rescuer.snapshot()
+        assert state.complete
+        assert state.nodes[0].committed_by == "w2"
+        events = fabric.journal().events()
+        commits = [e["node"] for e in events if e["event"] == "commit"]
+        assert sorted(commits) == list(range(len(specs)))
+        [reclaim] = [e for e in events if e["event"] == "reclaim"]
+        assert (reclaim["node"], reclaim["committer"],
+                reclaim["token"]) == (0, 1, 2)
+        assert not [e for e in events if e["event"] == "fenced"]
+        serial = SweepExecutor(jobs=1, cache=ResultCache(tmp_path / "ref"),
+                               engine="fast").run_outcomes(specs)
+        outcome = Coordinator(fabric, workers=1, spawn="thread").collect()
+        assert records(outcome) == records(serial)
+
+    def test_journaled_commit_keeps_its_marker(self, tmp_path):
+        """A claimant acting on a snapshot taken before a node's commit
+        claims the released node, finds the commit in the journal,
+        keeps the marker and is fenced."""
+        specs = small_grid(iterations=1)
+        fabric = make_root(tmp_path, specs)
+        FabricWorker(fabric, "w1").run()
+        late = FabricWorker(fabric, "w2")
+        lease = late.leases.claim(0, "w2", late.meta.lease_s)
+        assert lease is not None and lease.token == 2
+        late._reclaim_commit(lease)
+        assert late.leases.committer(0) == 1
+        late._run_node(late.dag[0], lease)
+        events = fabric.journal().events()
+        assert [e["worker"] for e in events
+                if e["event"] == "commit" and e["node"] == 0] == ["w1"]
+        assert [e["worker"] for e in events
+                if e["event"] == "fenced" and e["node"] == 0] == ["w2"]
+        assert not [e for e in events if e["event"] == "reclaim"]

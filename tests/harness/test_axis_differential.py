@@ -1,4 +1,4 @@
-"""Axis-fusion equivalence battery: fused vs per-cell vs scalar.
+"""Axis-fusion equivalence battery: fused vs the reference engine.
 
 The axis-fused family replay (:func:`repro.sim.vecgrid.compile_family`
 / :func:`replay_family`) evaluates a whole sensitivity axis as one 2-D
@@ -6,17 +6,18 @@ array program, gated by a family-level classifier that proves the
 entire family uncontended from one representative cell.  The contract
 is the same as every other engine shortcut in this repo: **bitwise**
 equality, no tolerances — a fused sweep must be indistinguishable from
-PR 7's per-cell vector replay (``SweepExecutor(..., fuse=False)``) and
-from the scalar fast engine, which the three-way battery in
-``test_differential.py`` already pins to the event-driven reference.
+the event-driven reference engine.
 
-Three layers:
+Four layers:
 
 * a curated 9-workload x 5-mode battery along the threads axis,
-* the exact figure grids (boundary cells at both family edges), and
+* the exact figure grids (boundary cells at both family edges), fused
+  end to end with no spec left to the per-spec path,
+* a family whose cells settle on different canonical schedules, which
+  reroutes and fuses cell by cell, and
 * a deliberately-contended system (one DMA engine) where the
   classifier must *refuse* to fuse and still produce bitwise results
-  through the per-cell/event fallback,
+  through the per-spec/event fallback,
 
 plus a hypothesis fuzz over random (workload, axis, points, mode,
 iterations) families.
@@ -29,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.configs import TransferMode
+from repro.harness import executor as executor_module
 from repro.harness.executor import SweepExecutor, expand_grid
 # Aliased: pyproject collects `bench_*` callables as tests.
 from repro.harness.regression import bench_grid_specs as grid_specs
@@ -77,15 +79,14 @@ def axis_family(workload, size, mode, iterations=2):
     return specs
 
 
-def sweep(specs, engine, fuse=True, system=None):
+def sweep(specs, engine, system=None):
     """Run one engine over the specs; return (executor, result dicts).
 
     ``dataclasses.asdict`` flattens every timing field and the full
     counter report, so list equality below is bitwise across all of
     them at once.
     """
-    executor = SweepExecutor(jobs=1, engine=engine, fuse=fuse,
-                             system=system)
+    executor = SweepExecutor(jobs=1, engine=engine, system=system)
     results = executor.run(specs)
     return executor, [dataclasses.asdict(result) for result in results]
 
@@ -95,13 +96,13 @@ class TestBattery:
     @pytest.mark.parametrize("name,size", BATTERY,
                              ids=[w for w, _ in BATTERY])
     def test_fused_equals_per_cell_equals_scalar(self, name, size, mode):
+        """Fused == reference, bitwise (the id dates from when a
+        per-cell replay leg ran too)."""
         if not get_workload(name).supports(size):
             pytest.skip(f"{name} undefined at {size.label}")
         specs = axis_family(name, size, mode)
-        fused_exec, fused = sweep(specs, "vector", fuse=True)
-        _, per_cell = sweep(specs, "vector", fuse=False)
-        _, scalar = sweep(specs, "fast")
-        assert fused == per_cell
+        fused_exec, fused = sweep(specs, "vector")
+        _, scalar = sweep(specs, "reference")
         assert fused == scalar
         # The family must at least have reached the classifier: either
         # it fused or it rerouted with a recorded rule — never silently
@@ -115,17 +116,24 @@ class TestFigureGrids:
     """The exact bench grids, including both family-edge cells."""
 
     @pytest.mark.parametrize("grid", ("fig12", "fig11", "fig13"))
-    def test_grid_bitwise_and_fully_fused(self, grid):
-        specs = grid_specs(iterations=3, grid=grid)
-        fused_exec, fused = sweep(specs, "vector", fuse=True)
-        _, per_cell = sweep(specs, "vector", fuse=False)
-        _, scalar = sweep(specs, "fast")
-        assert fused == per_cell
+    def test_grid_bitwise_and_fully_fused(self, grid, monkeypatch):
+        """At the paper's 30 runs, every spec of the figure grid comes
+        from the fused replay: one family per mode, none rerouted, and
+        not one spec reaches the per-spec path."""
+        specs = grid_specs(iterations=30, grid=grid)
+        _, scalar = sweep(specs, "reference")
+
+        def refuse(entry):
+            raise AssertionError(f"{entry[0]} took the per-spec path")
+
+        monkeypatch.setattr(executor_module, "_execute_entry", refuse)
+        fused_exec, fused = sweep(specs, "vector")  # strict: raises
         assert fused == scalar
-        # One family per mode, all provably uncontended: the figure
-        # grids are the workloads the fused path exists for.
-        assert fused_exec.last.families_fused == len(MODES)
-        assert fused_exec.last.families_rerouted == 0
+        stats = fused_exec.last
+        assert stats.grid_specs == stats.total == len(specs)
+        assert stats.families_fused == len(MODES)
+        assert stats.families_rerouted == 0
+        assert stats.reroute_rules == {}
 
     def test_family_edge_cells_present_and_identical(self):
         """Boundary cells (first/last axis point) settle bitwise.
@@ -136,14 +144,37 @@ class TestFigureGrids:
         specs = grid_specs(iterations=2, grid="fig12")
         edge_threads = {min(s.threads for s in specs),
                         max(s.threads for s in specs)}
-        _, fused = sweep(specs, "vector", fuse=True)
-        _, scalar = sweep(specs, "fast")
+        _, fused = sweep(specs, "vector")
+        _, scalar = sweep(specs, "reference")
         compared = 0
         for spec, ours, theirs in zip(specs, fused, scalar):
             if spec.threads in edge_threads:
                 assert ours == theirs, spec
                 compared += 1
         assert compared == len(MODES) * 2 * 2  # 2 edges x 2 iterations
+
+
+class TestRerouteTiers:
+    def test_schedule_divergence_fuses_per_cell_and_stays_bitwise(self):
+        """Fig. 4's saxpy/uvm size axis settles its migration trains at
+        different op boundaries per size: the family reroutes on
+        ``schedule-divergence``, then each size fuses as its own
+        one-cell family and still matches the reference bitwise."""
+        sizes = [size for size in SizeClass.ordered()
+                 if get_workload("saxpy").supports(size)]
+        specs = expand_grid(["saxpy"], sizes, [TransferMode.UVM],
+                            iterations=3)
+        fused_exec, fused = sweep(specs, "vector")
+        _, scalar = sweep(specs, "reference")
+        assert fused == scalar
+        stats = fused_exec.last
+        assert stats.reroute_rules.get("schedule-divergence") == 1, \
+            stats.summary()
+        assert stats.families_rerouted == 1, stats.summary()
+        assert stats.families_fused == len(sizes), stats.summary()
+        # Rows failing a residual guard take the per-spec path.
+        assert stats.grid_specs == len(specs) - stats.reroute_rules.get(
+            "residual-guard", 0)
 
 
 class TestContendedFamilies:
@@ -157,9 +188,8 @@ class TestContendedFamilies:
             base, link=dataclasses.replace(base.link, copy_engines=1))
         specs = axis_family("saxpy", SizeClass.LARGE,
                             TransferMode.UVM)
-        fused_exec, fused = sweep(specs, "vector", fuse=True,
-                                  system=system)
-        _, scalar = sweep(specs, "fast", system=system)
+        fused_exec, fused = sweep(specs, "vector", system=system)
+        _, scalar = sweep(specs, "reference", system=system)
         assert fused == scalar
         stats = fused_exec.last
         rerouted = stats.families_rerouted \
@@ -208,13 +238,11 @@ def families(draw):
 
 @given(specs=families())
 @settings(max_examples=25, deadline=None)
-def test_fuzz_fused_three_way(specs):
-    """Fused == per-cell == scalar over random axis families.
+def test_fuzz_fused_equals_reference(specs):
+    """Fused == reference over random axis families.
 
     Families the classifier reroutes are equally valid examples: the
     equality must hold whichever path settled each spec."""
-    _, fused = sweep(specs, "vector", fuse=True)
-    _, per_cell = sweep(specs, "vector", fuse=False)
-    _, scalar = sweep(specs, "fast")
-    assert fused == per_cell
+    _, fused = sweep(specs, "vector")
+    _, scalar = sweep(specs, "reference")
     assert fused == scalar

@@ -34,16 +34,20 @@ from repro.workloads.sizes import SizeClass
 MODES = list(TransferMode)
 ENGINE_NAMES = tuple(ENGINES)  # reference, fast, vector
 
-# Micro kernels at the paper's largest class, applications at LARGE:
-# together they exercise explicit trains, prefetch trains, demand
-# migration, oversubscription, iterative launch_repeated, and d2h
-# writebacks. The darknet networks add long per-layer launch trains;
-# lud (irregular in-place tiles) and nw (a prefetch that displaces the
-# next kernel's working set) are the paper's called-out anomalies.
+# All 21 workloads. Micro kernels at the paper's largest class they
+# define, applications at LARGE or larger: together they exercise
+# explicit trains, prefetch trains, demand migration, oversubscription,
+# iterative launch_repeated, and d2h writebacks. The darknet networks
+# add long per-layer launch trains; lud (irregular in-place tiles) and
+# nw (a prefetch that displaces the next kernel's working set) are the
+# paper's called-out anomalies.
 BATTERY = [
     ("vector_seq", SizeClass.MEGA),
     ("vector_rand", SizeClass.MEGA),
     ("saxpy", SizeClass.MEGA),
+    ("gemv", SizeClass.MEGA),
+    ("2DCONV", SizeClass.MEGA),
+    ("3DCONV", SizeClass.SUPER),
     ("gemm", SizeClass.LARGE),
     ("hotspot", SizeClass.LARGE),
     ("kmeans", SizeClass.LARGE),
@@ -56,6 +60,9 @@ BATTERY = [
     ("yolov3", SizeClass.LARGE),
     ("lud", SizeClass.LARGE),
     ("nw", SizeClass.LARGE),
+    ("backprop", SizeClass.MEGA),
+    ("lavaMD", SizeClass.SUPER),
+    ("bayesian", SizeClass.MEGA),
 ]
 
 

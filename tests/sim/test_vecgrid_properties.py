@@ -14,9 +14,11 @@ Three contracts, each pinned with Hypothesis:
   a strictly ordered end time.  Ambiguity (ties, queueing) must raise
   :class:`ContentionDetected`, never guess.
 
-* **Compiled replay**: :func:`repro.core.execution.compile_program` +
-  :func:`replay_result` — the whole-grid batching the executor uses —
-  must be bit-identical to the fast engine for the same seed stream.
+* **Compiled replay**: :func:`repro.core.execution.compile_program`
+  replayed as a one-cell family (:func:`compile_family` +
+  :func:`replay_family` via :func:`replay_compiled`, with the
+  executor's draw order) must be bit-identical to the reference engine
+  for the same seed stream wherever the guards accept the row.
 """
 
 import dataclasses
@@ -29,7 +31,8 @@ from hypothesis import strategies as st
 
 from repro.core.configs import TransferMode
 from repro.core.execution import (compile_program, execute_program,
-                                  iter_phase_cells, replay_result)
+                                  iter_phase_cells)
+from repro.core.results import RunResult
 from repro.sim.calibration import default_calibration
 from repro.sim.hardware import default_system
 from repro.sim.kernel import AccessPattern, KernelDescriptor
@@ -37,7 +40,8 @@ from repro.sim.phasecache import PhaseMemo
 from repro.sim.program import simple_program
 from repro.sim.timing import ConfigFlags, simulate_kernel
 from repro.sim.vecgrid import (AnalyticRuntime, ContentionDetected,
-                               prewarm_phase_memo, simulate_phase_grid)
+                               prewarm_phase_memo, replay_compiled,
+                               simulate_phase_grid)
 
 SYSTEM = default_system()
 CALIB = default_calibration()
@@ -239,20 +243,34 @@ def test_copy_engine_queueing_is_contention_and_falls_back():
 # ----------------------------------------------------------------------
 # Compiled whole-grid replay
 # ----------------------------------------------------------------------
+def replayed_result(compiled, mode, seed):
+    """One spec's RunResult from a one-cell family, ``None`` when the
+    classifier or a residual guard routes it to the per-spec path."""
+    row = replay_compiled(compiled, np.random.default_rng(seed), SYSTEM,
+                          CALIB)
+    if row is None:
+        return None
+    alloc_ns, memcpy_ns, kernel_ns, wall_ns, gpu_busy = row
+    return RunResult(workload=compiled.name, mode=mode, size="", seed=seed,
+                     alloc_ns=alloc_ns, memcpy_ns=memcpy_ns,
+                     kernel_ns=kernel_ns, wall_ns=wall_ns,
+                     counters=compiled.counters,
+                     occupancy=compiled.occupancy,
+                     gpu_busy_fraction=gpu_busy)
+
+
 @given(program=programs(), mode=st.sampled_from(MODES),
        seed=st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=40, deadline=None)
-def test_compiled_replay_bit_identical_to_fast(program, mode, seed):
-    """compile once + replay per seed == the fast engine, bitwise."""
+def test_compiled_replay_bit_identical_to_reference(program, mode, seed):
+    """compile once + one-cell family replay per seed == the reference
+    engine, bitwise, on every row the guards accept."""
     compiled = compile_program(program, mode, SYSTEM, CALIB)
-    rng = np.random.default_rng(seed)
-    try:
-        replayed = replay_result(compiled, mode, rng, SYSTEM, CALIB,
-                                 size_label="", seed=seed)
-    except ContentionDetected:
-        assume(False)
-    fast = execute_program(program, mode, seed=seed, engine="fast")
-    assert dataclasses.asdict(replayed) == dataclasses.asdict(fast)
+    replayed = replayed_result(compiled, mode, seed)
+    assume(replayed is not None)
+    reference = execute_program(program, mode, seed=seed,
+                                engine="reference")
+    assert dataclasses.asdict(replayed) == dataclasses.asdict(reference)
 
 
 def test_compiled_program_is_reusable_across_seeds():
@@ -263,11 +281,10 @@ def test_compiled_program_is_reusable_across_seeds():
     program = get_workload("gemm").program(SizeClass.LARGE)
     mode = TransferMode.UVM_PREFETCH
     compiled = compile_program(program, mode, SYSTEM, CALIB)
-    results = [replay_result(compiled, mode, np.random.default_rng(seed),
-                             SYSTEM, CALIB, size_label="", seed=seed)
-               for seed in range(5)]
+    results = [replayed_result(compiled, mode, seed) for seed in range(5)]
     for seed, result in enumerate(results):
-        expected = execute_program(program, mode, seed=seed, engine="fast")
+        expected = execute_program(program, mode, seed=seed,
+                                   engine="reference")
         assert result == expected
         assert result.counters is compiled.counters  # shared, immutable
     assert len({result.wall_ns for result in results}) == len(results)

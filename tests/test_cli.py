@@ -147,7 +147,8 @@ class TestSweep:
         """--engine fast renders the exact same table (bit-identical
         simulation) and reports its memo accounting in the summary."""
         ref = run_cli(capsys, "sweep", "saxpy", "--sizes", "tiny",
-                      "--iterations", "2", "--no-cache")
+                      "--iterations", "2", "--no-cache",
+                      "--engine", "reference")
         fast = run_cli(capsys, "sweep", "saxpy", "--sizes", "tiny",
                        "--iterations", "2", "--no-cache",
                        "--engine", "fast")
@@ -168,7 +169,8 @@ class TestSweep:
         """--engine vector renders the exact same table and reports
         its grid-batching accounting in the summary."""
         ref = run_cli(capsys, "sweep", "saxpy", "--sizes", "tiny",
-                      "--iterations", "2", "--no-cache")
+                      "--iterations", "2", "--no-cache",
+                      "--engine", "reference")
         vec = run_cli(capsys, "sweep", "saxpy", "--sizes", "tiny",
                       "--iterations", "2", "--no-cache",
                       "--engine", "vector")
@@ -383,7 +385,9 @@ class TestResilienceFlags:
             raise KeyboardInterrupt
 
         monkeypatch.setattr(executor_module, "_execute_entry", interrupt)
-        code = main(list(self.FIG6))
+        # The vector engine serves fig. 6 from its grid replay; only
+        # the per-spec path reaches the patched choke point.
+        code = main([*self.FIG6, "--engine", "reference"])
         err = capsys.readouterr().err
         assert code == 130
         assert "--resume" in err  # points at the recovery path
