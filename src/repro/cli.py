@@ -624,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--engines", action="append",
                        choices=tuple(ENGINES), default=None,
                        help="engines to measure (repeatable; default: "
-                            "fast and vector)")
+                            "vector)")
     bench.add_argument("--results-dir", default=None, metavar="DIR",
                        help="trajectory directory (default: "
                             "benchmarks/results)")

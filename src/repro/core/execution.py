@@ -44,34 +44,29 @@ UVM_USABLE_HBM_FRACTION = 0.95
 class EngineSpec:
     """One entry in the :data:`ENGINES` registry.
 
-    ``uses_phase_memo`` engines bind the process-local kernel-phase
-    memo (:func:`repro.sim.phasecache.phase_memo_for`); ``analytic``
-    engines replay programs without the event heap
-    (:class:`repro.sim.vecgrid.AnalyticRuntime`) and reroute to
-    ``fallback`` when the analytic contention classifier bails.
+    ``analytic`` engines replay programs without the event heap
+    (:class:`repro.sim.vecgrid.AnalyticRuntime`), bind the process-local
+    kernel-phase memo (:func:`repro.sim.phasecache.phase_memo_for`), and
+    rerun a program on the ``reference`` event engine when the analytic
+    contention classifier bails.
     """
 
     name: str
     summary: str
-    uses_phase_memo: bool = False
     analytic: bool = False
-    fallback: Optional[str] = None
 
 
 #: The single source of truth for engine selection — consumed by
 #: ``cli.py`` (``--engine`` choices), ``SweepExecutor`` and
-#: :func:`execute_program`.  All engines are bit-identical; they differ
-#: only in how much event machinery they can prove unobservable.
+#: :func:`execute_program`.  Both engines are bit-identical; the event
+#: engine is the oracle the analytic one is checked against.
 ENGINES: Dict[str, EngineSpec] = {
     "reference": EngineSpec(
-        "reference", "event-by-event heap engine (the historical baseline)"),
-    "fast": EngineSpec(
-        "fast", "train-coalescing event engine + kernel-phase memo",
-        uses_phase_memo=True),
+        "reference", "event-by-event heap engine (the oracle)"),
     "vector": EngineSpec(
         "vector", "analytic array-program engine; grid-batched phases, "
-        "falls back to the event engine on cross-stream contention",
-        uses_phase_memo=True, analytic=True, fallback="fast"),
+        "falls back to the reference engine on cross-stream contention",
+        analytic=True),
 }
 
 #: The engine every command runs unless told otherwise.
@@ -86,20 +81,6 @@ def engine_spec(engine: str) -> EngineSpec:
         raise ValueError(
             f"unknown engine {engine!r}; expected one of "
             f"{', '.join(ENGINES)}") from None
-
-
-def make_environment(engine: str):
-    """Build the simulation environment for an *event* engine name."""
-    from ..sim.engine import Environment
-    spec = engine_spec(engine)
-    if spec.analytic:
-        raise ValueError(
-            f"engine {engine!r} is analytic and has no event environment; "
-            "build its runtime via make_runtime()")
-    if engine == "fast":
-        from ..sim.fastpath import FastEnvironment
-        return FastEnvironment()
-    return Environment()
 
 
 def make_runtime(engine: str, system: SystemSpec, calib: Calibration,
@@ -117,7 +98,6 @@ def make_runtime(engine: str, system: SystemSpec, calib: Calibration,
     return CudaRuntime(system, calib, rng,
                        footprint_bytes=footprint_bytes,
                        smem_carveout_bytes=smem_carveout_bytes,
-                       env=make_environment(engine),
                        kernel_sim=kernel_sim)
 
 
@@ -277,11 +257,12 @@ def execute_program(program: Program, mode: TransferMode, *,
     carveout, or an explicit allocation larger than HBM).
 
     ``engine`` selects the simulation engine (see :data:`ENGINES`);
-    both produce bit-identical results — ``fast`` merely skips event
-    machinery it can prove unobservable.  ``phase_memo`` optionally
-    supplies a :class:`repro.sim.phasecache.PhaseMemo` whose
-    ``simulate`` replaces ``simulate_kernel`` (pure function, so
-    memoization is result-preserving by construction).
+    both produce bit-identical results — ``vector`` replays without the
+    event heap and reruns on ``reference`` when it meets contention.
+    ``phase_memo`` optionally supplies a
+    :class:`repro.sim.phasecache.PhaseMemo` whose ``simulate`` replaces
+    ``simulate_kernel`` (pure function, so memoization is
+    result-preserving by construction).
     """
     system = system or default_system()
     calib = calib or default_calibration()
@@ -292,24 +273,23 @@ def execute_program(program: Program, mode: TransferMode, *,
         validate_program(program, mode, system=system,
                          smem_carveout_bytes=smem_carveout_bytes)
     rng = rng if rng is not None else np.random.default_rng(seed)
-    kernel_sim = None
-    if phase_memo is not None:
-        kernel_sim = phase_memo.simulate
-    spec = engine_spec(engine)
-    if spec.analytic:
-        from ..sim.vecgrid import vec_stats
+    kernel_sim = phase_memo.simulate if phase_memo is not None else None
+    if engine_spec(engine).analytic:
+        from ..sim.vecgrid import ContentionDetected, vec_stats
         # The runtime constructor itself draws (host placement), so
         # snapshot the RNG *before* building it: a contention fallback
         # must replay the event engine on the exact same stream.
         state = rng.bit_generator.state
-        rt = _build_and_run(engine, program, mode, system, calib, rng,
-                            smem_carveout_bytes, kernel_sim)
-        if rt is not None:
+        try:
+            rt = _build_and_run(engine, program, mode, system, calib, rng,
+                                smem_carveout_bytes, kernel_sim)
+        except ContentionDetected:
+            vec_stats().fallbacks += 1
+            rng.bit_generator.state = state
+            engine = "reference"
+        else:
             vec_stats().analytic_runs += 1
             return _assemble_result(rt, program, mode, size_label, seed)
-        vec_stats().fallbacks += 1
-        rng.bit_generator.state = state
-        engine = spec.fallback or "reference"
     rt = _build_and_run(engine, program, mode, system, calib, rng,
                         smem_carveout_bytes, kernel_sim)
     return _assemble_result(rt, program, mode, size_label, seed)
@@ -458,9 +438,10 @@ def _build_and_run(engine: str, program: Program, mode: TransferMode,
                    system: SystemSpec, calib: Calibration,
                    rng: np.random.Generator,
                    smem_carveout_bytes: Optional[int],
-                   kernel_sim) -> Optional[CudaRuntime]:
-    """Run one program on one engine; ``None`` when the analytic
-    classifier routes the run back to the event engine."""
+                   kernel_sim) -> CudaRuntime:
+    """Run one program on one engine.  The analytic runtime raises
+    :class:`~repro.sim.vecgrid.ContentionDetected` when the run must go
+    back to the event engine."""
     rt = make_runtime(engine, system, calib, rng,
                       footprint_bytes=program.footprint_bytes,
                       smem_carveout_bytes=smem_carveout_bytes,
@@ -469,13 +450,6 @@ def _build_and_run(engine: str, program: Program, mode: TransferMode,
         process = _managed_process(rt, program, mode)
     else:
         process = _explicit_process(rt, program, mode)
-    if engine_spec(engine).analytic:
-        from ..sim.vecgrid import ContentionDetected
-        try:
-            rt.run(process)
-        except ContentionDetected:
-            return None
-        return rt
     rt.run(process)
     return rt
 

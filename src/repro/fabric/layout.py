@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Union
 
-from ..core.execution import DEFAULT_ENGINE
+from ..core.execution import DEFAULT_ENGINE, engine_spec
 from ..harness.executor import ResultCache
 from ..harness.resilience import SweepJournal
 from .dag import SpecDAG
@@ -45,6 +45,11 @@ class FabricMeta:
     straggler_min_samples: int = 3
     max_errors: int = 2            # error events before a node fails
     poll_s: float = 0.05           # worker idle poll interval
+
+    def __post_init__(self) -> None:
+        # A root written by an older build may name a retired engine;
+        # fail once here rather than inside every worker.
+        engine_spec(self.engine)
 
     @property
     def effective_heartbeat_s(self) -> float:

@@ -55,7 +55,7 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
 import numpy as np
 
 from ..core.configs import ALL_MODES, TransferMode
-from ..core.execution import ENGINES, execute_program
+from ..core.execution import engine_spec, execute_program
 from ..core.experiment import run_seed
 from ..core.results import ModeComparison, RunResult, RunSet
 from ..sim.calibration import Calibration, default_calibration
@@ -636,21 +636,22 @@ def execute_spec(spec: RunSpec,
     itself is seeded purely from the spec, so retried attempts produce
     byte-identical results.
 
-    ``engine`` selects the simulation engine (:data:`ENGINES`).
-    Engines flagged ``uses_phase_memo`` additionally bind the
+    ``engine`` selects the simulation engine
+    (:data:`repro.core.execution.ENGINES`); an unknown name raises
+    before any work.  Analytic engines additionally bind the
     process-local kernel-phase memo
     (:func:`repro.sim.phasecache.phase_memo_for`) — neither leg can
     change results (the differential battery in
     ``tests/harness/test_differential.py`` pins this).
     """
+    analytic = engine_spec(engine).analytic
     faults.maybe_fire(spec, attempt)
     program = program_for(spec)
     rng = rng_for_spec(spec)
     system = system or default_system()
     calib = calib or default_calibration()
     phase_memo = None
-    info = ENGINES.get(engine)
-    if info is not None and info.uses_phase_memo:
+    if analytic:
         from ..sim.phasecache import phase_memo_for
         phase_memo = phase_memo_for(system, calib)
     return execute_program(
@@ -669,12 +670,9 @@ def execute_spec(spec: RunSpec,
 def _execute_entry(entry: Tuple) -> RunResult:
     """Module-level worker so ProcessPoolExecutor can pickle it.
 
-    ``entry`` is ``(spec, system, calib, attempt[, engine])`` — the
-    engine element is optional for compatibility with callers of the
-    historical 4-tuple shape.
+    ``entry`` is ``(spec, system, calib, attempt, engine)``.
     """
-    spec, system, calib, attempt = entry[:4]
-    engine = entry[4] if len(entry) > 4 else "reference"
+    spec, system, calib, attempt, engine = entry
     return execute_spec(spec, system=system, calib=calib, attempt=attempt,
                         engine=engine)
 
@@ -821,10 +819,7 @@ class SweepExecutor:
         if backend not in _BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r}; expected one of {_BACKENDS}")
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of "
-                f"{', '.join(ENGINES)}")
+        engine_spec(engine)  # unknown names raise the canonical error
         if jobs is None:
             jobs = default_jobs()
         else:
@@ -1010,7 +1005,7 @@ class SweepExecutor:
         self._families_fused = 0
         self._families_rerouted = 0
         self._reroute_rules = {}
-        if ENGINES[self.engine].uses_phase_memo:
+        if engine_spec(self.engine).analytic:
             # Bind the coordinator-side memo so serial and thread
             # sweeps report hit/miss deltas in the summary (process
             # workers keep private memos the coordinator cannot see).
@@ -1064,7 +1059,7 @@ class SweepExecutor:
                        if outcomes[index] is None]
             use_pool = bool(pending) and (
                 self.isolate or (self.jobs > 1 and len(pending) > 1))
-            if (pending and ENGINES[self.engine].analytic
+            if (pending and engine_spec(self.engine).analytic
                     and (not use_pool or self.backend == "thread")):
                 # Grid-level batching *before* spec fan-out: compile
                 # each distinct program structure once, batch-warm the

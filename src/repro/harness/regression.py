@@ -148,8 +148,8 @@ def compare_to_snapshot(path: Union[str, Path],
 # ======================================================================
 BENCH_VERSION = 1
 BENCH_PREFIX = "BENCH_"
-#: Default engines on the trajectory; ``reference`` is opt-in (slow).
-DEFAULT_BENCH_ENGINES: Tuple[str, ...] = ("fast", "vector")
+#: Default engine on the trajectory; ``reference`` is opt-in (slow).
+DEFAULT_BENCH_ENGINES: Tuple[str, ...] = ("vector",)
 DEFAULT_BENCH_REPEATS = 5
 DEFAULT_BENCH_ITERATIONS = 10
 #: Where snapshots land, relative to the invocation root.
@@ -217,7 +217,7 @@ def _clear_sim_caches() -> None:
     """Reset every simulation-level cache a cold measurement must pay.
 
     The SeedSequence memo intentionally survives: it caches pure
-    seeding *arithmetic*, not simulation state, and both engines are
+    seeding *arithmetic*, not simulation state, and every engine is
     measured under the identical protocol.
     """
     from .executor import clear_program_memo
@@ -312,15 +312,6 @@ def collect_bench(engines: Sequence[str] = DEFAULT_BENCH_ENGINES,
     for engine in engines:
         payload["engines"][engine] = measure_engine(engine, specs,
                                                     repeats=repeats)
-    if "fast" in payload["engines"] and "vector" in payload["engines"]:
-        fast = payload["engines"]["fast"]
-        vector = payload["engines"]["vector"]
-        payload["derived"] = {
-            "vector_speedup_cold":
-                _mean(fast["cold_s"]) / _mean(vector["cold_s"]),
-            "vector_speedup_warm":
-                _mean(fast["warm_s"]) / _mean(vector["warm_s"]),
-        }
     return payload
 
 
@@ -545,9 +536,4 @@ def render_bench(payload: Dict) -> str:
                      f"{fusion['families_rerouted']} rerouted"
                      + (f" ({rules})" if rules else "") + "]")
         lines.append(line)
-    derived = payload.get("derived")
-    if derived:
-        lines.append(f"  vector speedup vs fast: "
-                     f"{derived['vector_speedup_cold']:.1f}x cold, "
-                     f"{derived['vector_speedup_warm']:.1f}x warm")
     return "\n".join(lines)

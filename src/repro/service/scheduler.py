@@ -18,7 +18,7 @@ Failure containment is layered:
 * a batch whose executor call itself raises settles *its own* jobs as
   failed and nothing else — the loop, the other batches, and the
   server stay up;
-* repeated executed-spec failures on the fast/vector engines trip the
+* repeated executed-spec failures on the vector engine trip the
   :class:`CircuitBreaker`, which falls the service back to the
   reference engine (bit-identical results, no phase memo / analytic
   machinery in the blast radius) until enough fallback successes argue

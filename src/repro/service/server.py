@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..core.configs import ALL_MODES, TransferMode
-from ..core.execution import DEFAULT_ENGINE
+from ..core.execution import DEFAULT_ENGINE, engine_spec
 from ..harness.executor import (ResultCache, RunSpec, SweepExecutor,
                                 cache_key, default_cache_dir,
                                 environment_fingerprint, expand_grid)
@@ -104,6 +104,7 @@ class ServiceConfig:
     fabric_workers: int = 0
 
     def __post_init__(self) -> None:
+        engine_spec(self.engine)
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if self.retries < 0:

@@ -13,7 +13,6 @@ from .counters import CounterReport, KernelCounters
 from .engine import (Deadline, Environment, Event, Process, Resource,
                      SimulationError, Timeout)
 from .export import export_chrome_trace, timeline_to_trace_events
-from .fastpath import FastEnvironment
 from .phasecache import PhaseMemo, clear_phase_memos, phase_memo_for
 from .hardware import (CpuSpec, GpuSpec, LinkSpec, SystemSpec, UvmSpec,
                        default_system, GIB, KIB, MIB)
@@ -53,7 +52,7 @@ __all__ = [
     "simulate_kernel", "smem_per_block", "export_chrome_trace",
     "timeline_to_trace_events", "PageSimResult", "fault_study",
     "generate_access_trace", "replay_trace", "CudaStream",
-    "device_synchronize", "FastEnvironment", "PhaseMemo", "Timeout",
+    "device_synchronize", "PhaseMemo", "Timeout",
     "clear_phase_memos", "phase_memo_for",
     "AnalyticRuntime", "CompiledProgram", "ContentionDetected", "VecStats",
     "prewarm_phase_memo", "simulate_phase_grid", "vec_stats",

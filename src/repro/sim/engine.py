@@ -178,35 +178,24 @@ class Process(Event):
         bootstrap.succeed()
 
     def _resume(self, event: Event) -> None:
-        send = self._generator.send
-        value = event.value
-        while True:
-            try:
-                target = send(value)
-            except StopIteration as stop:
-                if not self._triggered:
-                    self.succeed(stop.value)
-                return
-            if not isinstance(target, Event):
-                raise SimulationError(
-                    f"process {self.name!r} yielded {target!r}; processes must yield Event objects"
-                )
-            if target.processed:
-                # Already fired. When the environment certifies that no
-                # other event is runnable right now (fast engine, sole
-                # runner), a relay through the queue is a no-op and the
-                # generator can be resumed inline - the callback-free
-                # hot path. Otherwise resume via a relay event so the
-                # ordering against same-time events stays deterministic.
-                if self.env._can_inline():
-                    value = target.value
-                    continue
-                relay = Event(self.env, name=f"relay:{self.name}")
-                relay.callbacks.append(self._resume)
-                relay.succeed(target.value)
-            else:
-                target.callbacks.append(self._resume)
+        try:
+            target = self._generator.send(event.value)
+        except StopIteration as stop:
+            if not self._triggered:
+                self.succeed(stop.value)
             return
+        if not isinstance(target, Event):
+            raise SimulationError(
+                f"process {self.name!r} yielded {target!r}; processes must yield Event objects"
+            )
+        if target.processed:
+            # Already fired: resume via a relay event so the ordering
+            # against same-time events stays deterministic.
+            relay = Event(self.env, name=f"relay:{self.name}")
+            relay.callbacks.append(self._resume)
+            relay.succeed(target.value)
+        else:
+            target.callbacks.append(self._resume)
 
 
 class Environment:
@@ -225,30 +214,6 @@ class Environment:
         """Schedule at an absolute time (see :class:`Deadline`)."""
         self._sequence += 1
         heapq.heappush(self._heap, (at, self._sequence, event))
-
-    # ------------------------------------------------------------------
-    # Fast-path hooks (overridden by repro.sim.fastpath.FastEnvironment)
-    # ------------------------------------------------------------------
-    def _can_inline(self) -> bool:
-        """Whether a processed-event relay may resume a process inline.
-
-        The reference engine always answers ``False``: every resume
-        goes through the event queue so same-time ordering is governed
-        purely by schedule sequence numbers.
-        """
-        return False
-
-    def coalesce_train(self, resource: "Resource", count: int,
-                       total_ns: float) -> bool:
-        """Try to collapse an N-chunk train into one analytic hold.
-
-        The reference engine never coalesces (``False``: the caller
-        simulates per chunk). :class:`~repro.sim.fastpath.FastEnvironment`
-        coalesces exactly when it can prove nothing can interleave
-        before the train's end - see its docstring for the safety
-        argument.
-        """
-        return False
 
     def event(self, name: str = "") -> Event:
         return Event(self, name)
@@ -373,12 +338,6 @@ class Resource:
         per chunk through the FIFO queue, exactly as ``count``
         sequential :meth:`use` calls would be.
 
-        The environment may *coalesce* the whole train into one
-        analytic hold when it can prove no other event could
-        interleave before the train ends (see
-        :meth:`Environment.coalesce_train`); the reference engine
-        never does, so every chunk round-trips through the event heap.
-
         Returns ``(start, end)``: the time the first chunk was granted
         the resource and the time the last chunk released it.
         """
@@ -390,11 +349,6 @@ class Resource:
         if count == 0:
             return env.now, env.now
         start = env.now
-        if env.coalesce_train(self, count, total_ns):
-            # Coalesced: the environment advanced the clock and charged
-            # the busy-time integral analytically (a grant would have
-            # been immediate, so ``start`` is the pre-train clock).
-            return start, env.now
         anchor = start
         granted = False
         for chunk in range(count):

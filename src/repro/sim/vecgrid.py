@@ -30,9 +30,9 @@ event-engine runs into a handful of array programs:
   ``tests/sim/test_vecgrid_properties.py`` and end-to-end by the
   three-way differential battery.
 
-Results are bit-identical to the ``fast`` engine per the PR 4
-differential contract; the classifier only ever changes *how fast* an
-answer is produced, never the answer.
+Results are bit-identical to the ``reference`` event engine (pinned by
+the differential battery); the classifier only ever changes *how fast*
+an answer is produced, never the answer.
 """
 
 from __future__ import annotations

@@ -228,7 +228,7 @@ class TestRunDag:
 
     def executor(self, tmp_path, **kwargs):
         return SweepExecutor(jobs=1, cache=ResultCache(tmp_path / "cache"),
-                             engine="fast", **kwargs)
+                             engine="vector", **kwargs)
 
     def test_flat_dag_matches_run_outcomes(self, tmp_path):
         specs = grid()

@@ -63,7 +63,7 @@ def test_three_workers_one_crash_one_straggler_flaky_io(tmp_path, capsys):
                               attempts=(1,)),
     ))
     root = tmp_path / "fab"
-    meta = FabricMeta(engine="fast", lease_s=1.0, straggler_factor=4.0,
+    meta = FabricMeta(engine="vector", lease_s=1.0, straggler_factor=4.0,
                       straggler_min_s=0.3, straggler_min_samples=3,
                       poll_s=0.02)
     with faults.inject(plan):
@@ -75,7 +75,7 @@ def test_three_workers_one_crash_one_straggler_flaky_io(tmp_path, capsys):
 
     # Byte-identical to a serial sweep into a fresh cache.
     serial = SweepExecutor(jobs=1, cache=ResultCache(tmp_path / "ref"),
-                           engine="fast").run_outcomes(specs)
+                           engine="vector").run_outcomes(specs)
     assert sweep_bytes(outcome) == sweep_bytes(serial)
 
     fabric = FabricRoot(root)
@@ -121,14 +121,14 @@ def test_crash_mid_lease_recovers_without_faults_left_over(tmp_path):
         faults.Fault.for_spec(specs[2], kind=faults.KIND_WORKER_CRASH,
                               attempts=(1,)),))
     root = tmp_path / "fab"
-    meta = FabricMeta(engine="fast", lease_s=0.5, straggler_min_s=0.2,
+    meta = FabricMeta(engine="vector", lease_s=0.5, straggler_min_s=0.2,
                       poll_s=0.02)
     with faults.inject(plan):
         outcome = run_fabric(specs, root, workers=2, structure="flat",
                              meta=meta, spawn="process", timeout_s=180.0)
     assert outcome.complete
     serial = SweepExecutor(jobs=1, cache=ResultCache(tmp_path / "ref"),
-                           engine="fast").run_outcomes(specs)
+                           engine="vector").run_outcomes(specs)
     assert sweep_bytes(outcome) == sweep_bytes(serial)
     # The dead worker's claim is on record, and the node committed
     # under a strictly higher fencing token than the doomed claim.

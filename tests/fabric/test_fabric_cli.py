@@ -40,7 +40,7 @@ class TestFabricRun:
         fabric = FabricRoot(tmp_path / "fab")
         cache = fabric.cache()
         serial = SweepExecutor(jobs=1, cache=ResultCache(tmp_path / "ref"),
-                               engine="fast").run_outcomes(specs)
+                               engine="vector").run_outcomes(specs)
         for outcome in serial:
             entry = run_to_record(cache.get(outcome.key),
                                   with_counters=True)
@@ -63,7 +63,7 @@ class TestFabricWorkerStatus:
         specs = expand_grid(["vector_seq"], ["small"], iterations=2)
         return FabricRoot.init(
             tmp_path / "fab", compile_grid(specs),
-            meta=FabricMeta(engine="fast", lease_s=30.0))
+            meta=FabricMeta(engine="vector", lease_s=30.0))
 
     def test_worker_command_drains_root(self, capsys, tmp_path):
         fabric = self.fabric(tmp_path)

@@ -29,7 +29,7 @@ def small_grid(iterations=2, workloads=("vector_seq",)):
 
 
 def make_root(tmp_path, specs, compiler=compile_grid, **meta_kwargs):
-    meta_kwargs.setdefault("engine", "fast")
+    meta_kwargs.setdefault("engine", "vector")
     meta_kwargs.setdefault("lease_s", 30.0)
     meta_kwargs.setdefault("poll_s", 0.005)
     return FabricRoot.init(tmp_path / "fab", compiler(specs),
@@ -58,7 +58,7 @@ class TestSingleWorker:
         coordinator = Coordinator(fabric, workers=1, spawn="thread")
         outcome = coordinator.collect()
         serial = SweepExecutor(jobs=1, cache=ResultCache(tmp_path / "ref"),
-                               engine="fast").run_outcomes(specs)
+                               engine="vector").run_outcomes(specs)
         assert records(outcome) == records(serial)
 
     def test_prewarm_nodes_commit_without_cache_entries(self, tmp_path):
@@ -256,7 +256,7 @@ class TestStragglerRedispatch:
         assert len(commits) == 1
         assert commits[0]["token"] > 1  # the speculative claim won
         serial = SweepExecutor(jobs=1, cache=ResultCache(tmp_path / "ref"),
-                               engine="fast").run_outcomes(specs)
+                               engine="vector").run_outcomes(specs)
         assert records(outcome) == records(serial)
 
     def test_straggler_detection_uses_group_median(self, tmp_path):
@@ -285,11 +285,11 @@ class TestFleet:
         specs = small_grid(iterations=3, workloads=("vector_seq", "saxpy"))
         outcome = run_fabric(
             specs, tmp_path / "fab", workers=3, spawn="thread",
-            meta=FabricMeta(engine="fast", lease_s=2.0, poll_s=0.005),
+            meta=FabricMeta(engine="vector", lease_s=2.0, poll_s=0.005),
             timeout_s=120.0)
         assert outcome.complete
         serial = SweepExecutor(jobs=1, cache=ResultCache(tmp_path / "ref"),
-                               engine="fast").run_outcomes(specs)
+                               engine="vector").run_outcomes(specs)
         assert records(outcome) == records(serial)
         stats = outcome.fabric_stats
         assert stats.workers_spawned == 3
@@ -337,6 +337,19 @@ class TestFleet:
         with pytest.raises(ValueError, match="different"):
             FabricRoot.init(tmp_path / "fab",
                             compile_grid(specs[:3]))
+
+    def test_stale_engine_in_meta_fails_once_at_start(self, tmp_path):
+        """A root whose meta.json names a retired engine is refused
+        when the fleet starts, not node by node inside its workers."""
+        specs = small_grid()
+        fabric = make_root(tmp_path, specs)
+        fabric.meta_path.write_text(
+            fabric.meta_path.read_text().replace('"vector"', '"fast"'))
+        with pytest.raises(ValueError, match="unknown engine 'fast'"):
+            fabric.load_meta()
+        with pytest.raises(ValueError, match="unknown engine 'fast'"):
+            run_fabric(fabric.load_dag(), fabric.root, workers=1,
+                       spawn="thread")
 
     def test_rerun_on_same_root_replays_from_cache(self, tmp_path):
         specs = small_grid()
@@ -415,7 +428,7 @@ class TestDuplicateCommit:
         spec = specs[0]
         from repro.harness.executor import cache_key, execute_spec
         key = cache_key(spec)
-        result = execute_spec(spec, engine="fast")
+        result = execute_spec(spec, engine="vector")
         cache = fabric.cache()
         assert cache.put(key, result) is True
         assert cache.put(key, result) is False  # zombie's late publish
@@ -492,7 +505,7 @@ class TestCommitFence:
                 reclaim["token"]) == (0, 1, 2)
         assert not [e for e in events if e["event"] == "fenced"]
         serial = SweepExecutor(jobs=1, cache=ResultCache(tmp_path / "ref"),
-                               engine="fast").run_outcomes(specs)
+                               engine="vector").run_outcomes(specs)
         outcome = Coordinator(fabric, workers=1, spawn="thread").collect()
         assert records(outcome) == records(serial)
 

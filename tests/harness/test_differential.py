@@ -1,16 +1,17 @@
-"""Engine equivalence battery: reference vs fast vs vector.
+"""Engine equivalence battery: the reference oracle vs the vector engine.
 
-The fast engine (:class:`repro.sim.fastpath.FastEnvironment`) is only
-allowed to skip event machinery it can *prove* unobservable, and the
-vector engine (:mod:`repro.sim.vecgrid`) replays programs analytically
-with a contention classifier that reroutes anything ambiguous — so
-every simulated quantity on every engine — phase times, wall clock,
-timeline events, CUPTI counters, UVM fault-batch counts and migration
-volumes — must be **bit-identical** to the reference engine, not
-merely close.  This module is the proof battery: a curated
-workload x mode grid run three ways, a timeline-level comparison
-(every recorded event, every kernel execution), and a hypothesis fuzz
-over synthetic programs.
+The reference event engine is the oracle.  The vector engine
+(:mod:`repro.sim.vecgrid`) answers each spec one of two ways: per spec
+through :class:`~repro.sim.vecgrid.AnalyticRuntime` (with a contention
+classifier that reroutes anything ambiguous back to the reference
+engine), or as a row of a compiled, fused sweep family — the path every
+figure sweep takes.  Every simulated quantity on every path — phase
+times, wall clock, timeline events, CUPTI counters, UVM fault-batch
+counts and migration volumes — must be **bit-identical** to the
+reference engine, not merely close.  This module is the proof battery:
+all 21 workloads x 5 modes run three ways (reference, vector per spec,
+vector grid replay), a timeline-level comparison (every recorded event,
+every kernel execution), and a hypothesis fuzz over synthetic programs.
 """
 
 import dataclasses
@@ -22,8 +23,8 @@ from hypothesis import strategies as st
 
 from repro.core.configs import TransferMode
 from repro.core.execution import (ENGINES, _explicit_process,
-                                  _managed_process, execute_program,
-                                  make_runtime)
+                                  _managed_process, compile_program,
+                                  execute_program, make_runtime)
 from repro.sim.calibration import default_calibration
 from repro.sim.hardware import default_system
 from repro.sim.kernel import AccessPattern, KernelDescriptor
@@ -31,8 +32,11 @@ from repro.sim.program import simple_program
 from repro.workloads.registry import get_workload
 from repro.workloads.sizes import SizeClass
 
+from ..sim.test_vecgrid_properties import replayed_result
+
 MODES = list(TransferMode)
-ENGINE_NAMES = tuple(ENGINES)  # reference, fast, vector
+#: Every engine checked against the reference oracle.
+OTHER_ENGINES = tuple(engine for engine in ENGINES if engine != "reference")
 
 # All 21 workloads. Micro kernels at the paper's largest class they
 # define, applications at LARGE or larger: together they exercise
@@ -71,6 +75,15 @@ def run_once(program, mode, engine, size):
                            size_label=size.label)
 
 
+def grid_replayed(program, mode, seed, size_label=""):
+    """One spec as a one-cell fused family (compile, then replay with
+    the executor's draw order); ``None`` when the classifier or a
+    residual guard leaves the spec to the per-spec path."""
+    compiled = compile_program(program, mode, default_system(),
+                               default_calibration())
+    return replayed_result(compiled, mode, seed, size_label)
+
+
 class TestBattery:
     @pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
     @pytest.mark.parametrize("name,size", BATTERY,
@@ -81,22 +94,24 @@ class TestBattery:
             pytest.skip(f"{name} undefined at {size.label}")
         program = workload.program(size)
         ref = run_once(program, mode, "reference", size)
-        for engine in ENGINE_NAMES:
-            if engine == "reference":
-                continue
-            other = run_once(program, mode, engine, size)
+        legs = {engine: run_once(program, mode, engine, size)
+                for engine in OTHER_ENGINES}
+        replayed = grid_replayed(program, mode, 7, size.label)
+        if replayed is not None:
+            legs["grid"] = replayed
+        for leg, other in legs.items():
             # Dataclass equality covers every timing field and the full
             # counter report (per-kernel instruction mixes, miss rates,
             # DRAM traffic, occupancy) — all bitwise, no tolerances.
-            assert other == ref, engine
-            assert other.breakdown() == ref.breakdown(), engine
-            assert other.total_ns == ref.total_ns, engine
+            assert other == ref, leg
+            assert other.breakdown() == ref.breakdown(), leg
+            assert other.total_ns == ref.total_ns, leg
 
 
 def run_runtime(program, mode, engine):
     """execute_program's internals, exposing the runtime itself.
 
-    ``make_runtime`` builds the event runtime for reference/fast and
+    ``make_runtime`` builds the event runtime for reference and
     the analytic :class:`repro.sim.vecgrid.AnalyticRuntime` for
     vector — both :class:`CudaRuntime` subclasses exposing the same
     timeline/executions/counters surface.
@@ -119,12 +134,12 @@ class TestTimelineLevel:
     def test_every_trace_event_identical(self, mode):
         program = get_workload("hotspot").program(SizeClass.LARGE)
         ref = run_runtime(program, mode, "reference")
-        for engine in ("fast", "vector"):
+        for engine in OTHER_ENGINES:
             other = run_runtime(program, mode, engine)
             assert other.timeline.events == ref.timeline.events, engine
             assert other.env.now == ref.env.now, engine
 
-    @pytest.mark.parametrize("engine", ("fast", "vector"))
+    @pytest.mark.parametrize("engine", OTHER_ENGINES)
     @pytest.mark.parametrize("mode",
                              [TransferMode.UVM, TransferMode.UVM_PREFETCH,
                               TransferMode.UVM_PREFETCH_ASYNC],
@@ -156,7 +171,7 @@ class TestTimelineLevel:
         program = get_workload("gemm").program(SizeClass.LARGE)
         for mode in MODES:
             ref = run_runtime(program, mode, "reference")
-            for engine in ("fast", "vector"):
+            for engine in OTHER_ENGINES:
                 assert run_runtime(program, mode,
                                    engine).counters == ref.counters, engine
 
@@ -197,12 +212,18 @@ def programs(draw):
        seed=st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=40, deadline=None)
 def test_fuzz_three_way(program, mode, seed):
-    """Reference vs fast vs vector over synthetic programs.
+    """Reference vs vector per spec vs vector grid replay over
+    synthetic programs.
 
-    The vector leg also exercises the contention-fallback path: when
-    the classifier bails, execute_program reroutes on the snapshotted
-    RNG state, so the result must *still* be bitwise reference."""
-    ref = execute_program(program, mode, seed=seed, engine="reference")
-    for engine in ("fast", "vector"):
+    The per-spec vector leg also exercises the contention-fallback
+    path: when the classifier bails, execute_program reruns on the
+    reference engine from the snapshotted RNG state, so the result must
+    *still* be bitwise reference."""
+    ref = dataclasses.asdict(
+        execute_program(program, mode, seed=seed, engine="reference"))
+    for engine in OTHER_ENGINES:
         other = execute_program(program, mode, seed=seed, engine=engine)
-        assert dataclasses.asdict(other) == dataclasses.asdict(ref), engine
+        assert dataclasses.asdict(other) == ref, engine
+    replayed = grid_replayed(program, mode, seed)
+    if replayed is not None:
+        assert dataclasses.asdict(replayed) == ref

@@ -13,7 +13,8 @@ import pytest
 
 from repro.core.configs import ALL_MODES
 from repro.harness.executor import (RunSpec, SweepExecutor,
-                                    clear_program_memo, expand_grid)
+                                    clear_program_memo, execute_spec,
+                                    expand_grid)
 from repro.harness.store import run_to_record
 from repro.sim.phasecache import clear_phase_memos
 from repro.workloads.sizes import SizeClass
@@ -43,19 +44,23 @@ def _fresh_memos():
 
 
 class TestEngineParity:
-    def test_fast_sweep_matches_reference_sweep(self, specs):
+    def test_vector_sweep_matches_reference_sweep(self, specs):
         ref = SweepExecutor(jobs=1, engine="reference").run(specs)
-        fast = SweepExecutor(jobs=1, engine="fast").run(specs)
-        assert serialize(fast) == serialize(ref)
+        vector = SweepExecutor(jobs=1, engine="vector").run(specs)
+        assert serialize(vector) == serialize(ref)
 
-    def test_fast_threads_match_fast_serial(self, specs):
-        serial = SweepExecutor(jobs=1, engine="fast").run(specs)
-        threaded = SweepExecutor(jobs=4, engine="fast").run(specs)
+    def test_vector_threads_match_vector_serial(self, specs):
+        serial = SweepExecutor(jobs=1, engine="vector").run(specs)
+        threaded = SweepExecutor(jobs=4, engine="vector").run(specs)
         assert serialize(threaded) == serialize(serial)
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
             SweepExecutor(engine="warp")
+
+    def test_execute_spec_rejects_retired_engine(self, specs):
+        with pytest.raises(ValueError, match="unknown engine 'fast'"):
+            execute_spec(specs[0], engine="fast")
 
 
 class TestPrewarm:
@@ -71,7 +76,7 @@ class TestPrewarm:
             return original(self)
 
         monkeypatch.setattr(RunSpec, "build_program", counting)
-        executor = SweepExecutor(jobs=1, engine="fast")
+        executor = SweepExecutor(jobs=1, engine="vector")
         executor.run(specs)
         distinct = {(s.workload, s.size, s.blocks, s.threads) for s in specs}
         assert len(calls) == len(distinct)
@@ -88,16 +93,16 @@ class TestPrewarm:
 
 
 class TestMemoStats:
-    def test_fast_sweep_reports_phase_memo_hits(self, specs):
-        executor = SweepExecutor(jobs=1, engine="fast")
+    def test_vector_sweep_reports_phase_memo_hits(self, specs):
+        executor = SweepExecutor(jobs=1, engine="vector")
         executor.run(specs)
         stats = executor.last
-        assert stats.engine == "fast"
+        assert stats.engine == "vector"
         assert stats.phase_lookups > 0
         # 3 iterations per cell with identical phases: most lookups hit.
         assert stats.phase_hits > stats.phase_misses
         summary = executor.summary()
-        assert "fast engine" in summary
+        assert "vector engine" in summary
         assert "phase memo" in summary
         assert f"{stats.phase_hits}/{stats.phase_lookups}" in summary
 
@@ -106,7 +111,7 @@ class TestMemoStats:
         executor.run(specs[:10])
         assert executor.last.phase_lookups == 0
         assert "phase memo" not in executor.summary()
-        assert "fast engine" not in executor.summary()
+        assert "vector engine" not in executor.summary()
 
     def test_hit_rate_property(self):
         from repro.harness.executor import SweepStats

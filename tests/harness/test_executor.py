@@ -17,7 +17,6 @@ from repro.core.experiment import Experiment
 from repro.harness.executor import (CacheStats, ResultCache, RunSpec,
                                     SweepExecutor, collect_comparisons,
                                     collect_runsets, expand_grid)
-from repro.harness.figures import comparison_sweep
 from repro.harness.store import run_to_record
 from repro.sim.calibration import default_calibration
 from repro.sim.hardware import default_system
@@ -334,29 +333,27 @@ class TestGrouping:
             SweepExecutor(backend="fork-bomb")
 
 
-@pytest.mark.perf
-class TestWarmCacheSpeedup:
-    def test_fig7_style_sweep_warm_is_5x_faster(self, tmp_path):
-        """Acceptance: a repeated fig7/fig8 sweep with a warm cache
-        completes >= 5x faster than cold."""
-        cache = ResultCache(tmp_path / "cache")
-        executor = SweepExecutor(cache=cache)
-        kwargs = dict(size=SizeClass.SMALL, iterations=10,
-                      executor=executor)
-        cold = comparison_sweep(MICRO_NAMES, **kwargs)
-        cold_s = executor.last.elapsed_s
-        assert executor.last.executed == len(MICRO_NAMES) * 5 * 10
-        # Best of two warm replays: the contract is about the cache,
-        # not about transient scheduler noise on a loaded test box.
-        warm = comparison_sweep(MICRO_NAMES, **kwargs)
-        warm_s = executor.last.elapsed_s
-        assert executor.last.cache_hits == len(MICRO_NAMES) * 5 * 10
-        comparison_sweep(MICRO_NAMES, **kwargs)
-        warm_s = min(warm_s, executor.last.elapsed_s)
-        for name in MICRO_NAMES:
-            for mode in ALL_MODES:
-                assert warm[name].normalized_total(mode) == \
-                    cold[name].normalized_total(mode)
-        assert warm_s * 5.0 <= cold_s, (
-            f"warm sweep {warm_s:.3f}s not >=5x faster than cold "
-            f"{cold_s:.3f}s")
+class TestWarmCacheCounters:
+    def test_fig7_style_warm_sweep_executes_nothing(self, tmp_path,
+                                                    monkeypatch):
+        """Acceptance: a repeated fig7/fig8 sweep with a warm cache is
+        served wholly from the cache — every spec a hit, none simulated
+        — and returns exactly the cold results."""
+        import repro.core.execution as execution_module
+        import repro.harness.executor as executor_module
+        specs = expand_grid(MICRO_NAMES, (SizeClass.SMALL,), ALL_MODES,
+                            iterations=10, skip_unsupported=False)
+        executor = SweepExecutor(cache=ResultCache(tmp_path / "cache"))
+        cold = executor.run(specs)
+        assert executor.last.executed == len(specs)
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("warm pass simulated a spec")
+
+        monkeypatch.setattr(executor_module, "_execute_entry", refuse)
+        monkeypatch.setattr(executor_module, "execute_program", refuse)
+        monkeypatch.setattr(execution_module, "execute_program", refuse)
+        warm = executor.run(specs)
+        assert executor.last.executed == 0
+        assert executor.last.cache_hits == len(specs)
+        assert serialize(warm) == serialize(cold)

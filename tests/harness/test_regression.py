@@ -80,7 +80,7 @@ class TestReport:
 # ======================================================================
 # Perf-trajectory benchmarking (``repro bench``)
 # ======================================================================
-def fake_bench(engines=("fast", "vector"), fingerprint="f" * 40,
+def fake_bench(engines=("reference", "vector"), fingerprint="f" * 40,
                scale=1.0, grid_extra=None):
     """A synthetic, schema-valid snapshot with controllable timings."""
     grid = {"figure": "fig12-threads", "specs": 30, "iterations": 1}
@@ -116,20 +116,16 @@ class TestCollectBench:
 
     def test_schema_and_series_shape(self, payload):
         validate_bench(payload)  # must not raise
-        assert set(payload["engines"]) == {"fast", "vector"}
+        assert set(payload["engines"]) == {"vector"}  # the default
         for samples in payload["engines"].values():
             assert len(samples["cold_s"]) == 2
             assert len(samples["warm_s"]) == 2
         assert payload["grid"]["specs"] == 30
 
-    def test_derived_speedups_present(self, payload):
-        assert payload["derived"]["vector_speedup_cold"] > 0
-        assert payload["derived"]["vector_speedup_warm"] > 0
-
     def test_render_mentions_every_engine(self, payload):
         rendered = render_bench(payload)
-        assert "fast" in rendered and "vector" in rendered
-        assert "vector speedup vs fast" in rendered
+        for engine in payload["engines"]:
+            assert f"  {engine} " in rendered
 
     def test_rejects_zero_repeats(self):
         with pytest.raises(ValueError, match="repeats"):
@@ -162,8 +158,8 @@ class TestBenchRoundTrip:
         (lambda p: p.update(kind="calibration"), "kind"),
         (lambda p: p.pop("grid"), "grid"),
         (lambda p: p.update(engines={}), "no engine samples"),
-        (lambda p: p["engines"]["fast"].update(cold_s=[]), "cold_s"),
-        (lambda p: p["engines"]["fast"].update(warm_s=[0.1, -1.0]),
+        (lambda p: p["engines"]["vector"].update(cold_s=[]), "cold_s"),
+        (lambda p: p["engines"]["vector"].update(warm_s=[0.1, -1.0]),
          "warm_s"),
     ])
     def test_validate_rejects_malformed(self, mutate, match):
@@ -239,7 +235,7 @@ class TestCompareBench:
 
     def test_missing_engine_is_a_note_not_a_failure(self):
         report = compare_bench(fake_bench(),
-                               fake_bench(engines=("fast",)))
+                               fake_bench(engines=("reference",)))
         assert report.passed
         assert any("vector" in note for note in report.notes)
         assert len(report.comparisons) == 2
@@ -252,6 +248,21 @@ class TestCompareBench:
         assert report.passed
         assert any("fingerprint" in note for note in report.notes)
         assert any("grids differ" in note for note in report.notes)
+
+    def test_vector_only_snapshot_against_committed_baseline(self):
+        """The committed trajectory still carries legs of retired
+        engines; a vector-only snapshot compares its vector legs only."""
+        from pathlib import Path
+        results = Path(__file__).parents[2] / "benchmarks" / "results"
+        baseline = load_bench(next(results.glob("BENCH_0002_*.json")))
+        assert set(baseline["engines"]) > {"vector"}
+        current = json.loads(json.dumps(baseline))
+        current["engines"] = {"vector": current["engines"]["vector"]}
+        report = compare_bench(current, baseline)
+        assert report.passed
+        assert [(c.engine, c.phase) for c in report.comparisons] == [
+            ("vector", "cold"), ("vector", "warm")]
+        assert not report.notes
 
     def test_empty_report_renders(self):
         assert "nothing comparable" in BenchReport().render()

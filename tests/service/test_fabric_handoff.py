@@ -28,6 +28,11 @@ def test_fabric_workers_validation():
     assert ServiceConfig().fabric_workers == 0  # classic path default
 
 
+def test_retired_engine_rejected_at_config():
+    with pytest.raises(ValueError, match="unknown engine 'fast'"):
+        ServiceConfig(engine="fast")
+
+
 def test_sweep_through_fabric_is_bit_identical(tmp_path):
     async def scenario():
         async with live_service(tmp_path, fabric_workers=2,

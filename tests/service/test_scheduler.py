@@ -37,43 +37,43 @@ class TestCircuitBreaker:
         assert not breaker.active
 
     def test_trips_after_threshold_consecutive_failures(self):
-        breaker = CircuitBreaker("fast", threshold=3)
+        breaker = CircuitBreaker("vector", threshold=3)
         breaker.record(outcome_for(None, SpecStatus.FAILED))
         breaker.record(outcome_for(None, SpecStatus.FAILED))
-        assert breaker.select() == "fast"  # not yet
+        assert breaker.select() == "vector"  # not yet
         breaker.record(outcome_for(None, SpecStatus.FAILED))
         assert breaker.state == "open"
         assert breaker.select() == "reference"
         assert breaker.trips == 1
 
     def test_success_resets_the_failure_streak(self):
-        breaker = CircuitBreaker("fast", threshold=2)
+        breaker = CircuitBreaker("vector", threshold=2)
         breaker.record(outcome_for(None, SpecStatus.FAILED))
         breaker.record(outcome_for(None))  # streak broken
         breaker.record(outcome_for(None, SpecStatus.FAILED))
         assert breaker.state == "closed"
 
     def test_cache_hits_and_skips_say_nothing(self):
-        breaker = CircuitBreaker("fast", threshold=1)
+        breaker = CircuitBreaker("vector", threshold=1)
         breaker.record(outcome_for(None, SpecStatus.FAILED,
                                    from_cache=True))
         breaker.record(outcome_for(None, SpecStatus.SKIPPED))
         assert breaker.state == "closed"
 
     def test_recovery_path_reopens_then_closes(self):
-        breaker = CircuitBreaker("fast", threshold=1, recovery=2)
+        breaker = CircuitBreaker("vector", threshold=1, recovery=2)
         breaker.record(outcome_for(None, SpecStatus.TIMED_OUT))
         assert breaker.state == "open"
         breaker.record(outcome_for(None))  # fallback success 1
         assert breaker.state == "open"
         breaker.record(outcome_for(None))  # fallback success 2
         assert breaker.state == "half_open"
-        assert breaker.select() == "fast"  # probing the real engine
+        assert breaker.select() == "vector"  # probing the real engine
         breaker.record(outcome_for(None))
         assert breaker.state == "closed"
 
     def test_half_open_failure_retrips(self):
-        breaker = CircuitBreaker("fast", threshold=1, recovery=1)
+        breaker = CircuitBreaker("vector", threshold=1, recovery=1)
         breaker.record(outcome_for(None, SpecStatus.FAILED))
         breaker.record(outcome_for(None))  # -> half_open
         assert breaker.state == "half_open"
@@ -83,9 +83,9 @@ class TestCircuitBreaker:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            CircuitBreaker("fast", threshold=0)
+            CircuitBreaker("vector", threshold=0)
         with pytest.raises(ValueError):
-            CircuitBreaker("fast", recovery=0)
+            CircuitBreaker("vector", recovery=0)
 
     def test_snapshot_shape(self):
         snapshot = CircuitBreaker("vector").snapshot()

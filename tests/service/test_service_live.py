@@ -344,7 +344,7 @@ class TestContainment:
 
     def test_breaker_trips_to_reference_and_recovers(self, tmp_path):
         async def scenario():
-            async with live_service(tmp_path, engine="fast",
+            async with live_service(tmp_path, engine="vector",
                                     breaker_threshold=2,
                                     breaker_recovery=1, slots=1,
                                     jobs=1, batch_size=2) as service:
@@ -368,7 +368,7 @@ class TestContainment:
         assert hp["complete"] is True
         # Fallback successes re-arm the configured engine.
         assert recovered["state"] == "closed"
-        assert recovered["serving"] == "fast"
+        assert recovered["serving"] == "vector"
 
 
 # ----------------------------------------------------------------------

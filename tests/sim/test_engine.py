@@ -215,3 +215,10 @@ class TestRunUntil:
 
     def test_run_empty_heap_returns_now(self, env):
         assert env.run() == 0.0
+
+    def test_run_resumes_after_until(self, env):
+        env.timeout(10.0)
+        env.timeout(100.0)
+        assert env.run(until=50.0) == 50.0
+        assert env.now == 50.0
+        assert env.run() == 100.0

@@ -1,8 +1,13 @@
-"""Fast-path engine tests: deadlines, chunk trains, coalescing, memo.
+"""Foundations of the fast paths: deadlines, chunk trains, phase memo.
 
-The heavier reference-vs-fast equivalence battery lives in
-``tests/harness/test_differential.py``; this module unit-tests the
-engine mechanics the fast path is built from.
+The vector engine replays an uncontended ``Resource.stream`` train as
+the closed form ``end = start + duration``, and sweeps serve kernel
+phases from :class:`~repro.sim.phasecache.PhaseMemo`.  Both shortcuts
+are exact only because of the event-engine mechanics pinned here: a
+chunk train's end is bitwise the monolithic hold, deadlines fire at
+their absolute time, and a memo hit is the scalar result.  The
+reference-vs-vector equivalence battery lives in
+``tests/harness/test_differential.py``.
 """
 
 import pytest
@@ -10,14 +15,14 @@ import pytest
 from repro.sim.calibration import default_calibration
 from repro.sim.engine import (Deadline, Environment, Resource,
                               SimulationError, Timeout)
-from repro.sim.fastpath import FastEnvironment
 from repro.sim.hardware import default_system
 from repro.sim.kernel import AccessPattern, KernelDescriptor
 from repro.sim.phasecache import (PhaseMemo, clear_phase_memos,
                                   phase_memo_for)
 from repro.sim.timing import ConfigFlags, simulate_kernel
 
-ENGINES = (Environment, FastEnvironment)
+#: Event environments the mechanics are checked on.
+ENGINES = (Environment,)
 
 
 # ----------------------------------------------------------------------
@@ -106,12 +111,6 @@ class TestStreamTrains:
         assert endn == end1  # bitwise: absolute boundaries, 1.0 factor
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_reference_and_fast_agree(self, engine):
-        ref = run_stream(Environment, 37, 987.654321)
-        got = run_stream(engine, 37, 987.654321)
-        assert got[2] == ref[2]
-
-    @pytest.mark.parametrize("engine", ENGINES)
     def test_zero_chunks_is_noop(self, engine):
         env, resource, (start, end) = run_stream(engine, 0, 55.0)
         assert (start, end) == (0.0, 0.0)
@@ -131,33 +130,26 @@ class TestStreamTrains:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_contended_trains_interleave_per_chunk(self, engine):
-        """Two trains on a capacity-1 resource share it chunk by chunk;
-        both engines must produce the identical (non-coalesced) times."""
-        def run(engine):
-            env = engine()
-            resource = Resource(env, capacity=1, name="link")
-            spans = {}
+        """Two trains on a capacity-1 resource share it chunk by chunk."""
+        env = engine()
+        resource = Resource(env, capacity=1, name="link")
+        spans = {}
 
-            def train(tag, count, total, delay):
-                if delay:
-                    yield env.timeout(delay)
-                spans[tag] = yield from resource.stream(count, total)
+        def train(tag, count, total, delay):
+            if delay:
+                yield env.timeout(delay)
+            spans[tag] = yield from resource.stream(count, total)
 
-            env.process(train("a", 4, 100.0, 0.0), name="a")
-            env.process(train("b", 4, 100.0, 10.0), name="b")
-            env.run()
-            return spans, env.now
-
-        ref_spans, ref_now = run(Environment)
-        spans, now = run(engine)
-        assert spans == ref_spans
-        assert now == ref_now
+        env.process(train("a", 4, 100.0, 0.0), name="a")
+        env.process(train("b", 4, 100.0, 10.0), name="b")
+        env.run()
         # b arrives at t=10 but only gets its first grant at a's first
         # chunk boundary (t=25); from there its absolute boundaries run
         # 50, 75, 100, 125 while a's remaining chunks catch up to their
         # own (already-passed) deadlines in zero time.
-        assert ref_spans["b"] == (25.0, 125.0)
-        assert ref_now == 125.0
+        assert spans["a"] == (0.0, 100.0)
+        assert spans["b"] == (25.0, 125.0)
+        assert env.now == 125.0
 
     def test_contended_first_grant_waits(self):
         """A second requester arriving mid-train queues until the
@@ -181,90 +173,6 @@ class TestStreamTrains:
         # chunk boundaries are at 10, 20, ... the interloper (t=5)
         # gets the resource at the first boundary, not at 100.
         assert grants == [10.0]
-
-
-# ----------------------------------------------------------------------
-# Coalescing certification
-# ----------------------------------------------------------------------
-class TestCoalesce:
-    def test_quiescent_train_coalesces(self):
-        env = FastEnvironment()
-        resource = Resource(env, capacity=2, name="link")
-
-        def proc():
-            span = yield from resource.stream(100, 500.0)
-            return span
-
-        start, end = env.run_process(proc(), name="p")
-        assert (start, end) == (0.0, 500.0)
-        assert resource.busy_time() == pytest.approx(500.0)
-
-    def test_heap_event_inside_window_blocks_coalescing(self):
-        """An event scheduled inside the train window must force the
-        per-chunk path (it could spawn a competing requester)."""
-        env = FastEnvironment()
-        resource = Resource(env, capacity=1, name="link")
-        assert env.timeout(50.0) is not None
-
-        def proc():
-            return (yield from resource.stream(10, 100.0))
-
-        start, end = env.run_process(proc(), name="p")
-        # Same result, computed event by event.
-        assert (start, end) == (0.0, 100.0)
-
-    def test_heap_event_beyond_window_allows_coalescing(self):
-        env = FastEnvironment()
-        resource = Resource(env, capacity=1, name="link")
-        seen = []
-        env.timeout(1000.0).callbacks.append(lambda e: seen.append(env.now))
-
-        def proc():
-            return (yield from resource.stream(10, 100.0))
-
-        start, end = env.run_process(proc(), name="p")
-        assert (start, end) == (0.0, 100.0)
-        assert seen == [1000.0]
-
-    def test_busy_resource_blocks_coalescing(self):
-        env = FastEnvironment()
-        resource = Resource(env, capacity=2, name="link")
-        spans = {}
-
-        def holder():
-            yield resource.request()
-            yield env.timeout(30.0)
-            resource.release()
-
-        def train():
-            spans["t"] = yield from resource.stream(3, 60.0)
-
-        env.process(holder(), name="holder")
-        env.process(train(), name="train")
-        env.run()
-        assert spans["t"] == (0.0, 60.0)  # capacity 2: no queueing
-
-    def test_run_until_clamps_like_reference(self):
-        for engine in ENGINES:
-            env = engine()
-            env.timeout(10.0)
-            env.timeout(100.0)
-            assert env.run(until=50.0) == 50.0
-            assert env.now == 50.0
-            assert env.run() == 100.0
-
-    def test_until_blocks_coalescing(self):
-        """Under a run(until=...) clamp the train must not jump the
-        clock past the horizon."""
-        env = FastEnvironment()
-        resource = Resource(env, capacity=1, name="link")
-
-        def proc():
-            yield from resource.stream(10, 100.0)
-
-        env.process(proc(), name="p")
-        assert env.run(until=35.0) == 35.0
-        assert env.now == 35.0
 
 
 # ----------------------------------------------------------------------

@@ -154,7 +154,7 @@ def test_phase_cells_cover_real_sweeps():
         memo = PhaseMemo(SYSTEM, CALIB)
         prewarm_phase_memo(
             memo, iter_phase_cells(program, mode, None, SYSTEM))
-        execute_program(program, mode, seed=3, engine="fast",
+        execute_program(program, mode, seed=3, engine="vector",
                         phase_memo=memo)
         assert memo.misses == 0, mode
 
@@ -243,7 +243,7 @@ def test_copy_engine_queueing_is_contention_and_falls_back():
 # ----------------------------------------------------------------------
 # Compiled whole-grid replay
 # ----------------------------------------------------------------------
-def replayed_result(compiled, mode, seed):
+def replayed_result(compiled, mode, seed, size=""):
     """One spec's RunResult from a one-cell family, ``None`` when the
     classifier or a residual guard routes it to the per-spec path."""
     row = replay_compiled(compiled, np.random.default_rng(seed), SYSTEM,
@@ -251,7 +251,7 @@ def replayed_result(compiled, mode, seed):
     if row is None:
         return None
     alloc_ns, memcpy_ns, kernel_ns, wall_ns, gpu_busy = row
-    return RunResult(workload=compiled.name, mode=mode, size="", seed=seed,
+    return RunResult(workload=compiled.name, mode=mode, size=size, seed=seed,
                      alloc_ns=alloc_ns, memcpy_ns=memcpy_ns,
                      kernel_ns=kernel_ns, wall_ns=wall_ns,
                      counters=compiled.counters,

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.execution import DEFAULT_ENGINE
 
 
 def run_cli(capsys, *argv):
@@ -144,26 +145,40 @@ class TestSweep:
         assert "[sweep]" in out
 
     def test_sweep_fast_engine_matches_reference(self, capsys):
-        """--engine fast renders the exact same table (bit-identical
-        simulation) and reports its memo accounting in the summary."""
+        """The default engine (the analytic fast path, ``vector``; the
+        id predates the engine collapse and is kept stable) renders
+        the exact same table as ``--engine reference`` and reports its
+        memo accounting in the summary."""
         ref = run_cli(capsys, "sweep", "saxpy", "--sizes", "tiny",
                       "--iterations", "2", "--no-cache",
                       "--engine", "reference")
         fast = run_cli(capsys, "sweep", "saxpy", "--sizes", "tiny",
-                       "--iterations", "2", "--no-cache",
-                       "--engine", "fast")
+                       "--iterations", "2", "--no-cache")
         ref_table = [line for line in ref.splitlines()
                      if not line.startswith("[sweep]")]
         fast_table = [line for line in fast.splitlines()
                       if not line.startswith("[sweep]")]
         assert fast_table == ref_table
-        assert "fast engine" in fast
+        assert f"{DEFAULT_ENGINE} engine" in fast
         assert "phase memo" in fast
 
     def test_sweep_rejects_unknown_engine(self):
         with pytest.raises(SystemExit):
             main(["sweep", "saxpy", "--sizes", "tiny",
                   "--engine", "warp"])
+
+    @pytest.mark.parametrize("argv", [
+        ["figure", "6", "--engine", "fast"],
+        ["sweep", "saxpy", "--sizes", "tiny", "--engine", "fast"],
+        ["serve", "--engine", "fast"],
+        ["fabric", "run", "saxpy", "--root", "unused", "--engine", "fast"],
+        ["bench", "--engines", "fast"],
+    ], ids=["figure", "sweep", "serve", "fabric-run", "bench"])
+    def test_retired_fast_engine_is_an_argparse_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'fast'" in capsys.readouterr().err
 
     def test_sweep_vector_engine_matches_reference(self, capsys):
         """--engine vector renders the exact same table and reports
@@ -180,6 +195,7 @@ class TestSweep:
                      if not line.startswith("[sweep]")]
         assert vec_table == ref_table
         assert "vector engine" in vec
+        assert "phase memo" in vec
         assert "grid-replayed" in vec
 
 
@@ -192,7 +208,7 @@ class TestBench:
         out = run_cli(capsys, *self.ARGS,
                       "--results-dir", str(tmp_path))
         assert "bench grid: fig12-threads" in out
-        assert "vector speedup vs fast" in out
+        assert "  vector " in out  # the default engine's leg
         assert "snapshot written" in out
         snapshots = list(tmp_path.glob("BENCH_*.json"))
         assert len(snapshots) == 1
@@ -241,7 +257,7 @@ class TestBench:
                       "--iterations", "1", "--engines", "vector",
                       "--no-save", "--results-dir", str(tmp_path))
         assert "vector" in out
-        assert "fast" not in out.replace("fig12-threads", "")
+        assert "reference" not in out
         with pytest.raises(SystemExit):
             main(["bench", "--repeats", "0"])
         with pytest.raises(SystemExit):
