@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from ..sim.hardware import SystemSpec, default_system
+from ..sim.hardware import SystemSpec
 from ..sim.program import Program
 from .diagnostics import LintReport, RuleRegistry
 from .rules import DEFAULT_REGISTRY, LintContext, run_rules

@@ -14,7 +14,7 @@ which motivates the inter-job pipeline of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Sequence
 
 from ..workloads.registry import APP_NAMES
 from ..workloads.sizes import SizeClass

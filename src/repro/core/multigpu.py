@@ -21,7 +21,7 @@ from ..sim.calibration import Calibration, default_calibration
 from ..sim.engine import Environment, Resource
 from ..sim.hardware import SystemSpec, default_system
 from ..sim.kernel import KernelDescriptor
-from ..sim.program import BufferSpec, KernelPhase, Program
+from ..sim.program import KernelPhase, Program
 from ..sim.runtime import CudaRuntime
 from .configs import TransferMode
 from .execution import _explicit_process, _managed_process

@@ -9,7 +9,7 @@ of allocation, memcpy, and GPU-kernel time (Sec. 3.3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..sim.counters import CounterReport
 from .configs import TransferMode

@@ -22,7 +22,6 @@ from ..sim.program import Program
 from ..sim.timing import ConfigFlags, simulate_kernel
 from ..workloads.registry import all_workloads
 from ..workloads.sizes import SizeClass
-from .configs import TransferMode
 
 
 class Bottleneck(enum.Enum):

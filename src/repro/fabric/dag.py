@@ -34,7 +34,7 @@ re-execution — produces bit-identical results.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..harness.executor import RunSpec, spec_coords

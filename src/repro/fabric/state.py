@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from .dag import SpecDAG
-from .leases import Lease, LeaseDir
+from .leases import Lease
 
 # Node lifecycle (display + scheduling statuses).
 PENDING = "pending"      # parents not yet committed

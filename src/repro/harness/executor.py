@@ -13,7 +13,9 @@ produce bit-identical results. This module exploits that:
   + calibration + code-version salt), reusing the
   :mod:`repro.harness.store` record schema;
 * :class:`SweepExecutor` - fans specs out over a thread/process pool
-  and fills cache hits without re-simulating, preserving input order.
+  and fills cache hits without re-simulating, preserving input order;
+* :class:`WorkerPool` - the live pool a long-lived caller reuses
+  across sweeps, replaced only when a worker crashes or hangs.
 
 Determinism contract: for any spec list, ``SweepExecutor(jobs=1)``,
 ``SweepExecutor(jobs=N)`` (either backend) and a warm-cache replay all
@@ -25,7 +27,7 @@ hanging, or crashing spec never takes the sweep down. Each spec
 resolves to a :class:`~repro.harness.resilience.SpecOutcome`; failures
 retry per :class:`~repro.harness.resilience.RetryPolicy` with
 deterministic backoff; hung process workers are timed out and their
-pool rebuilt; ``BrokenProcessPool`` requeues survivors and quarantines
+pool replaced; ``BrokenProcessPool`` requeues survivors and quarantines
 poison specs; terminal outcomes checkpoint to a
 :class:`~repro.harness.resilience.SweepJournal` so interrupted sweeps
 resume. ``tests/harness/test_resilience.py`` proves all of this with
@@ -38,6 +40,7 @@ import dataclasses
 import enum
 import hashlib
 import json
+import multiprocessing
 import operator
 import os
 import signal
@@ -173,6 +176,11 @@ class RunSpec:
     def supported(self) -> bool:
         from ..workloads.registry import get_workload
         return get_workload(self.workload).supports(self.size_class)
+
+    @property
+    def family(self) -> Tuple:
+        """The sweep family: every field but ``iteration``."""
+        return _family_id(self)
 
 
 #: A spec's sweep family: every field but ``iteration``.
@@ -632,8 +640,9 @@ def execute_spec(spec: RunSpec,
     """Run one spec cold. Bit-identical to ``Experiment.run_one``.
 
     ``attempt`` (1-based) only feeds the test-only fault-injection
-    hook (:func:`repro.harness.faults.maybe_fire`); the simulation
-    itself is seeded purely from the spec, so retried attempts produce
+    hook (:func:`repro.harness.faults.fire`, with this process's
+    :func:`~repro.harness.faults.active_plan`); the simulation itself
+    is seeded purely from the spec, so retried attempts produce
     byte-identical results.
 
     ``engine`` selects the simulation engine
@@ -644,8 +653,22 @@ def execute_spec(spec: RunSpec,
     change results (the differential battery in
     ``tests/harness/test_differential.py`` pins this).
     """
+    return _execute_entry((spec, system, calib, attempt, engine,
+                           faults.active_plan()))
+
+
+def _execute_entry(entry: Tuple) -> RunResult:
+    """Module-level worker so ProcessPoolExecutor can pickle it.
+
+    ``entry`` is ``(spec, system, calib, attempt, engine, plan)``.
+    ``plan`` is the coordinator's fault plan (or ``None``) at submit
+    time: a pool worker outlives any one plan, so the task carries the
+    plan it must fire instead of the worker reading whatever plan its
+    environment held when it started.
+    """
+    spec, system, calib, attempt, engine, plan = entry
     analytic = engine_spec(engine).analytic
-    faults.maybe_fire(spec, attempt)
+    faults.fire(plan, spec, attempt)
     program = program_for(spec)
     rng = rng_for_spec(spec)
     system = system or default_system()
@@ -665,16 +688,6 @@ def execute_spec(spec: RunSpec,
         engine=engine,
         phase_memo=phase_memo,
     )
-
-
-def _execute_entry(entry: Tuple) -> RunResult:
-    """Module-level worker so ProcessPoolExecutor can pickle it.
-
-    ``entry`` is ``(spec, system, calib, attempt, engine)``.
-    """
-    spec, system, calib, attempt, engine = entry
-    return execute_spec(spec, system=system, calib=calib, attempt=attempt,
-                        engine=engine)
 
 
 @dataclass
@@ -802,6 +815,10 @@ class SweepExecutor:
     permanent failures when ``resume`` is set, and — unless ``strict``
     — returns partial sweeps instead of raising. :meth:`run` is the
     historical strict facade: all-or-raise, in spec order.
+
+    Workers: given a :class:`WorkerPool`, pooled sweeps run on its live
+    pool and leave it running for the next caller; otherwise each
+    pooled sweep builds a private one and closes it on return.
     """
 
     def __init__(self, jobs: Optional[int] = None,
@@ -815,10 +832,14 @@ class SweepExecutor:
                  resume: bool = False,
                  strict: bool = False,
                  engine: str = "reference",
-                 isolate: bool = False):
+                 isolate: bool = False,
+                 pool: Optional["WorkerPool"] = None):
         if backend not in _BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r}; expected one of {_BACKENDS}")
+        if pool is not None and pool.backend != backend:
+            raise ValueError(f"a {pool.backend} worker pool cannot serve "
+                             f"the {backend} backend")
         engine_spec(engine)  # unknown names raise the canonical error
         if jobs is None:
             jobs = default_jobs()
@@ -842,6 +863,9 @@ class SweepExecutor:
         # coordinating process — the containment contract a long-lived
         # server (repro.service) needs for every batch it dispatches.
         self.isolate = isolate
+        # A caller-owned pool outlives this executor (one per service
+        # slot); without one, each pooled sweep builds and closes its own.
+        self.pool = pool
         self.last = SweepStats()
         self.last_outcome: Optional[SweepOutcome] = None
         self._env_fp: Optional[str] = None
@@ -1322,14 +1346,8 @@ class SweepExecutor:
         only (``signal.signal`` raises elsewhere)."""
         if threading.current_thread() is not threading.main_thread():
             return None
-        owner_pid = os.getpid()
 
         def _handler(signum, frame):  # pragma: no cover - signal path
-            if os.getpid() != owner_pid:
-                # A forked worker inherited this handler; when the
-                # coordinator terminates it, die quietly like SIG_DFL
-                # instead of raising KeyboardInterrupt into the worker.
-                os._exit(143)
             raise KeyboardInterrupt
 
         try:
@@ -1579,7 +1597,7 @@ class SweepExecutor:
         # Late module-level lookup, not a direct execute_spec call:
         # tests monkeypatch _execute_entry as the serial choke point.
         return _execute_entry((spec, self.system, self.calib, attempt,
-                               self.engine))
+                               self.engine, faults.active_plan()))
 
     # ------------------------------------------------------------------
     # Serial (jobs=1) execution with retry/backoff
@@ -1640,27 +1658,6 @@ class SweepExecutor:
     # ------------------------------------------------------------------
     # Pooled execution: submit/wait with failure isolation
     # ------------------------------------------------------------------
-    def _new_pool(self, workers: int):
-        pool_cls = (ProcessPoolExecutor if self.backend == "process"
-                    else ThreadPoolExecutor)
-        return pool_cls(max_workers=workers)
-
-    @staticmethod
-    def _hard_shutdown(pool) -> None:
-        """Tear a pool down without joining: cancel queued work and
-        terminate worker processes (a hung worker never joins)."""
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:  # pragma: no cover - defensive
-            pass
-        processes = getattr(pool, "_processes", None)
-        if processes:
-            for process in list(processes.values()):
-                try:
-                    process.terminate()
-                except Exception:  # pragma: no cover - already gone
-                    pass
-
     def _run_pool(self, pending: List[Tuple[int, RunSpec, Optional[str]]],
                   outcomes: List[Optional[SpecOutcome]], total: int,
                   strict: bool) -> None:
@@ -1690,7 +1687,9 @@ class SweepExecutor:
             (index, spec, key, 1, 0.0) for index, spec, key in pending]
         crashes: Dict[int, int] = {}
         in_flight: Dict = {}
-        pool = self._new_pool(workers)
+        pools = self.pool if self.pool is not None \
+            else WorkerPool(self.backend)
+        pool = pools.get(self.jobs)
         try:
             while queue or in_flight:
                 now = time.monotonic()
@@ -1715,7 +1714,7 @@ class SweepExecutor:
                             future = pool.submit(
                                 _execute_entry,
                                 (spec, self.system, self.calib, attempt,
-                                 self.engine))
+                                 self.engine, faults.active_plan()))
                         else:
                             # Threads share the coordinator's memory, so
                             # they can serve grid-precomputed results.
@@ -1730,7 +1729,7 @@ class SweepExecutor:
 
                 if victims:
                     pool = self._rebuild_after_crash(
-                        pool, workers, victims, in_flight, queue, crashes,
+                        pools, victims, in_flight, queue, crashes,
                         outcomes, total, strict)
                     continue
 
@@ -1785,7 +1784,7 @@ class SweepExecutor:
 
                 if victims:
                     pool = self._rebuild_after_crash(
-                        pool, workers, victims, in_flight, queue, crashes,
+                        pools, victims, in_flight, queue, crashes,
                         outcomes, total, strict)
                     continue
 
@@ -1797,15 +1796,16 @@ class SweepExecutor:
                                and not future.done()]
                     if expired:
                         pool = self._expire_and_rebuild(
-                            pool, workers, expired, in_flight, queue,
+                            pools, expired, in_flight, queue,
                             outcomes, total, strict)
         except BaseException:
-            self._hard_shutdown(pool)
+            pools.discard()
             raise
-        else:
-            pool.shutdown(wait=True)
+        finally:
+            if pools is not self.pool:
+                pools.close()
 
-    def _rebuild_after_crash(self, pool, workers: int,
+    def _rebuild_after_crash(self, pools: "WorkerPool",
                              victims: List[Tuple], in_flight: Dict,
                              queue: List, crashes: Dict[int, int],
                              outcomes: List[Optional[SpecOutcome]],
@@ -1813,7 +1813,7 @@ class SweepExecutor:
         """A worker process died (``BrokenProcessPool``): salvage any
         futures that finished before the crash, requeue the rest,
         credit the likeliest culprits, quarantine specs that crossed
-        ``max_crashes``, and hand back a fresh pool.
+        ``max_crashes``, and hand back the replacement pool.
 
         Crediting: if a known suspect (prior crash credit) was in
         flight, only suspects are credited — the scheduler runs at
@@ -1838,7 +1838,7 @@ class SweepExecutor:
             else:
                 self._after_failure(index, spec, key, attempt, error,
                                     queue, outcomes, total, strict)
-        self._hard_shutdown(pool)
+        pools.discard()
         now = time.monotonic()
         suspects_present = any(index in crashes
                                for index, _, _, _ in victims)
@@ -1860,15 +1860,15 @@ class SweepExecutor:
                 # A crash is not a failed *attempt* — the spec never
                 # finished running — so requeue at the same attempt.
                 queue.append((index, spec, key, attempt, now))
-        return self._new_pool(workers)
+        return pools.get(self.jobs)
 
-    def _expire_and_rebuild(self, pool, workers: int, expired: List,
+    def _expire_and_rebuild(self, pools: "WorkerPool", expired: List,
                             in_flight: Dict, queue: List,
                             outcomes: List[Optional[SpecOutcome]],
                             total: int, strict: bool):
         """Per-spec deadlines tripped: the workers running them are
         stuck, so retry/fail the hung specs, salvage finished futures,
-        requeue the innocent in-flight ones, and rebuild the pool
+        requeue the innocent in-flight ones, and replace the pool
         (terminating the stuck workers)."""
         policy = self.retry
         now = time.monotonic()
@@ -1900,8 +1900,114 @@ class SweepExecutor:
                         outcomes, total, strict)
             else:
                 queue.append((index, spec, key, attempt, now))
-        self._hard_shutdown(pool)
-        return self._new_pool(workers)
+        pools.discard()
+        return pools.get(self.jobs)
+
+
+# ----------------------------------------------------------------------
+# Worker pools that outlive one sweep
+# ----------------------------------------------------------------------
+#: Seconds :meth:`WorkerPool.close` waits for a worker to exit before
+#: killing it.
+_CLOSE_GRACE_S = 5.0
+
+
+def _pool_processes(pool) -> list:
+    return list((getattr(pool, "_processes", None) or {}).values())
+
+
+class WorkerPool:
+    """The live worker pool behind one executor slot.
+
+    :meth:`get` builds a pool on first use and hands the same one out
+    until it breaks, so a long-lived caller (a ``repro serve``
+    scheduler slot) starts its workers once and they keep their phase
+    and program memos warm across sweeps. A pool is replaced only when
+    a worker died — mid-spec or while idle — or after :meth:`discard`
+    (a worker hung past its deadline). ``spawns`` counts the pools
+    built.
+    """
+
+    def __init__(self, backend: Backend = "process"):
+        if backend not in _BACKENDS:
+            raise ValueError(
+                f"unknown backend {backend!r}; expected one of {_BACKENDS}")
+        self.backend = backend
+        self.spawns = 0
+        self._pool = None
+        self._size = 0
+        self._closed = False
+
+    @property
+    def broken(self) -> bool:
+        """Whether the live pool lost a worker (``False`` if none).
+
+        Checks the workers themselves too: a worker killed while idle
+        breaks the pool before its manager thread notices.
+        """
+        pool = self._pool
+        if pool is None:
+            return False
+        return bool(pool._broken) or any(
+            not process.is_alive() for process in _pool_processes(pool))
+
+    def get(self, workers: int):
+        """A pool of at least ``workers`` workers, healthy at hand-out."""
+        if self._closed:
+            raise RuntimeError("worker pool is closed")
+        if self._pool is not None and (self._size < workers or self.broken):
+            self.discard()
+        if self._pool is None:
+            if self.backend == "process":
+                # Workers fork from one forkserver that has this module
+                # imported: they start with the simulator loaded and
+                # hold none of the coordinator's threads, sockets or
+                # signal handlers (a long-lived worker forked from a
+                # server would keep its clients' connections open).
+                context = multiprocessing.get_context("forkserver")
+                context.set_forkserver_preload([__name__])
+                self._pool = ProcessPoolExecutor(
+                    max_workers=workers, mp_context=context)
+            else:
+                self._pool = ThreadPoolExecutor(max_workers=workers)
+            self._size = workers
+            self.spawns += 1
+        return self._pool
+
+    def pids(self) -> List[int]:
+        """Process ids of the live pool's workers."""
+        return [process.pid for process in _pool_processes(self._pool)]
+
+    def discard(self) -> None:
+        """Drop the live pool without joining: cancel queued work and
+        terminate its workers (a hung worker never joins)."""
+        pool, self._pool = self._pool, None
+        if pool is None:
+            return
+        processes = _pool_processes(pool)
+        try:
+            pool.shutdown(wait=False, cancel_futures=True)
+        except Exception:  # pragma: no cover - defensive
+            pass
+        for process in processes:
+            try:
+                process.terminate()
+            except Exception:  # pragma: no cover - already gone
+                pass
+
+    def close(self) -> None:
+        """Shut the live pool down for good and reap its workers."""
+        self._closed = True
+        pool, self._pool = self._pool, None
+        if pool is None:
+            return
+        processes = _pool_processes(pool)
+        pool.shutdown(wait=not processes, cancel_futures=True)
+        for process in processes:
+            process.join(_CLOSE_GRACE_S)
+            if process.is_alive():
+                process.kill()
+                process.join()
 
 
 # ----------------------------------------------------------------------

@@ -17,10 +17,13 @@ replays bit-identically under ``jobs=1``, thread pools, and process
 pools.
 
 Propagation: :func:`install` stores the plan both in this process (a
-module global) and in ``os.environ[PLAN_ENV]`` (as JSON), so worker
-*processes* spawned afterwards inherit it; :func:`active_plan` checks
-the global first, then the environment. Production code never installs
-a plan, so the hook costs one ``is None`` check per run.
+module global) and in ``os.environ[PLAN_ENV]`` (as JSON), so child
+processes started afterwards (fabric workers, a ``repro serve``
+subprocess) inherit it; :func:`active_plan` checks the global first,
+then the environment. Executor pool workers live across plans, so the
+coordinator sends its active plan with every task and the worker fires
+exactly that one (:func:`fire`). Production code never installs a
+plan, so the hook costs one ``is None`` check per run.
 """
 
 from __future__ import annotations
@@ -188,9 +191,8 @@ def clear() -> None:
 def active_plan() -> Optional[FaultPlan]:
     """The installed plan: process-local first, then the environment.
 
-    The environment path is what worker *processes* use — they inherit
-    ``PLAN_ENV`` from the coordinator at spawn time but not its module
-    globals.
+    The environment path is what child processes use — they inherit
+    ``PLAN_ENV`` from their parent at start but not its module globals.
     """
     if _ACTIVE is not None:
         return _ACTIVE
@@ -220,10 +222,21 @@ def inject(plan: FaultPlan) -> Iterator[FaultPlan]:
 # The execute_spec hook
 # ----------------------------------------------------------------------
 def maybe_fire(spec, attempt: int = 1) -> None:
-    """Fire any fault scheduled for ``(spec, attempt)``.
+    """Fire any fault the active plan schedules for ``(spec, attempt)``.
+
+    The grid-replay path calls this in place of a simulation; see
+    :func:`fire` for what each kind does.
+    """
+    fire(active_plan(), spec, attempt)
+
+
+def fire(plan: Optional[FaultPlan], spec, attempt: int = 1) -> None:
+    """Fire any fault ``plan`` schedules for ``(spec, attempt)``.
 
     Called by :func:`repro.harness.executor.execute_spec` before the
-    simulation starts. ``fail`` raises :class:`InjectedFault`; ``hang``
+    simulation starts, with the plan the task carried (a long-lived
+    pool worker never consults its own, possibly stale, environment).
+    ``fail`` raises :class:`InjectedFault`; ``hang``
     sleeps for ``hang_s`` (long enough to trip any per-spec timeout);
     ``delay`` sleeps for ``delay_s`` and then lets the spec run
     normally (a deterministic *slow* spec, for deadline tests);
@@ -233,7 +246,6 @@ def maybe_fire(spec, attempt: int = 1) -> None:
     cache write/read paths, see :func:`should_corrupt_cache` and
     :func:`maybe_flaky_io`).
     """
-    plan = active_plan()
     if plan is None:
         return
     fault = plan.match(spec, attempt)

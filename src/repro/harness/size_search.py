@@ -10,7 +10,7 @@ stability and the config spread, and recommend the usable band.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..core.configs import ALL_MODES
 from ..core.stats import geomean

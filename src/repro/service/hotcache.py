@@ -12,14 +12,20 @@ serving path mutates them (the same invariant the executor's program
 memo relies on). Corruption handling stays where the bytes are: the
 disk layer quarantines unreadable entries on read, the hot layer only
 ever holds values that already parsed.
+
+Memory: a run's per-kernel :class:`~repro.sim.counters.CounterReport`
+is most of its size, and every iteration of a sweep family has an
+equal one. As in the disk cache's packs, entries of one family share
+one report, checked equal before it is shared.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.results import RunResult
@@ -57,32 +63,54 @@ class HotCache:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
         self.capacity = capacity
         self.stats = HotCacheStats()
-        self._entries: "OrderedDict[str, RunResult]" = OrderedDict()
+        # key -> (run, family; None when it keeps its own counters)
+        self._entries: "OrderedDict[str, Tuple]" = OrderedDict()
+        # family -> [shared CounterReport, entries sharing it]
+        self._families: Dict[Hashable, List] = {}
         self._lock = threading.Lock()
 
     def get(self, key: str) -> Optional["RunResult"]:
         with self._lock:
-            run = self._entries.get(key)
-            if run is None:
+            entry = self._entries.get(key)
+            if entry is None:
                 self.stats.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.stats.hits += 1
-            return run
+            return entry[0]
 
-    def put(self, key: str, run: "RunResult") -> None:
+    def put(self, key: str, run: "RunResult",
+            family: Optional[Hashable] = None) -> None:
+        """Store ``run``; ``family`` (a spec's sweep family) lets it
+        share its counter report with the family's other entries."""
         if self.capacity == 0:
             return
         with self._lock:
             if key in self._entries:
-                self._entries.move_to_end(key)
-                self._entries[key] = run
-                return
-            while len(self._entries) >= self.capacity:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
-            self._entries[key] = run
-            self.stats.stores += 1
+                self._release(self._entries.pop(key)[1])
+            else:
+                while len(self._entries) >= self.capacity:
+                    self._release(self._entries.popitem(last=False)[1][1])
+                    self.stats.evictions += 1
+                self.stats.stores += 1
+            if family is not None:
+                shared = self._families.get(family)
+                if shared is None:
+                    self._families[family] = [run.counters, 1]
+                elif shared[0] is run.counters or shared[0] == run.counters:
+                    run = dataclasses.replace(run, counters=shared[0])
+                    shared[1] += 1
+                else:
+                    family = None  # unequal: keeps its own report
+            self._entries[key] = (run, family)
+
+    def _release(self, family: Optional[Hashable]) -> None:
+        if family is None:
+            return
+        shared = self._families[family]
+        shared[1] -= 1
+        if not shared[1]:
+            del self._families[family]
 
     def __len__(self) -> int:
         with self._lock:
@@ -95,3 +123,4 @@ class HotCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._families.clear()

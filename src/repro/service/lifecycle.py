@@ -5,8 +5,9 @@ The contract ``repro serve`` makes to its operator:
 * **SIGTERM/SIGINT drain** — stop admitting, settle every queued job
   as an explicit drained-skip (held requests get their partial
   response, not a hangup), give running batches a bounded grace
-  period, then exit. Queued jobs keep their ``pending`` journal
-  records: that file *is* the checkpoint.
+  period, reap the slots' worker processes, then exit. Queued jobs
+  keep their ``pending`` journal records: that file *is* the
+  checkpoint.
 * **Resume on restart** — ``--resume`` replays every ``pending``
   record through the scheduler under a dedicated tenant. Because runs
   are seeded purely from their spec coordinates and every engine is
@@ -120,6 +121,8 @@ async def drain(service: ReproService) -> int:
     # unblocks and writes its (partial) response before the listener
     # closes; close() then waits briefly for those handlers to flush.
     await service.close()
+    await asyncio.get_running_loop().run_in_executor(
+        None, service.close_pools)
     logger.info("drained: %d queued spec(s) kept pending in %s "
                 "(restart with --resume to finish them)", flushed,
                 service.journal.path)

@@ -28,6 +28,7 @@ import asyncio
 import functools
 import json
 import logging
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,7 +37,7 @@ from typing import Dict, List, Optional, Tuple
 from ..core.configs import ALL_MODES, TransferMode
 from ..core.execution import DEFAULT_ENGINE, engine_spec
 from ..harness.executor import (ResultCache, RunSpec, SweepExecutor,
-                                cache_key, default_cache_dir,
+                                WorkerPool, cache_key, default_cache_dir,
                                 environment_fingerprint, expand_grid)
 from ..harness.resilience import RetryPolicy, SweepJournal, SweepOutcome
 from ..harness.store import run_to_record
@@ -128,12 +129,15 @@ class ReproService:
     Wiring: requests admit through the :class:`AdmissionController`,
     decompose into content-addressed spec jobs, check the
     :class:`HotCache`, then join the :class:`FairShareScheduler`. The
-    scheduler executes batches through a fresh crash-isolated
-    :class:`~repro.harness.executor.SweepExecutor` per batch (process
-    backend by default, so hang/crash faults are contained and timed
-    out exactly as in CLI sweeps); every admitted spec is journaled
-    ``pending`` at admission and terminally on settle, giving SIGTERM
-    drains a checkpoint that ``--resume`` replays bit-identically.
+    scheduler executes each batch through a crash-isolated
+    :class:`~repro.harness.executor.SweepExecutor` on one of ``slots``
+    long-lived :class:`~repro.harness.executor.WorkerPool` s, one per
+    concurrent batch (process backend by default, so hang/crash faults
+    are contained and timed out exactly as in CLI sweeps; a crash or
+    hang replaces only that slot's pool). Every admitted spec is
+    journaled ``pending`` at admission and terminally on settle, giving
+    SIGTERM drains a checkpoint that ``--resume`` replays
+    bit-identically.
     """
 
     def __init__(self, config: Optional[ServiceConfig] = None):
@@ -159,34 +163,71 @@ class ReproService:
         self._stop = asyncio.Event()
         self._handlers: set = set()
         self._env_fp: Optional[str] = None
+        # Bounded by the hot cache's capacity: past it, the oldest
+        # keys go first. Writes hold the lock (evict-then-insert).
         self._key_memo: Dict[RunSpec, str] = {}
+        self._key_lock = threading.Lock()
+        # One worker pool per scheduler slot, checked out per batch.
+        self.worker_pools = [WorkerPool(self.config.backend)
+                             for _ in range(self.config.slots)]
+        self._idle_pools = list(self.worker_pools)
+        self._pools_closed = False
+        self._pools_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Backend bridge (runs in a worker thread)
     # ------------------------------------------------------------------
     def _execute_batch(self, specs: List[RunSpec],
                        engine: str) -> SweepOutcome:
-        """One scheduler batch through a fresh, isolated executor.
+        """One scheduler batch through an isolated executor on a slot's
+        long-lived worker pool.
 
         ``isolate=True`` forces the pool path even for a one-spec
-        batch, so a crashing spec SIGKILLs a disposable worker process,
-        never this server. The executor journals nothing (the service
-        journal is per-job, written by :meth:`_on_settle`); it shares
-        the service's disk cache so results are content-addressed
-        exactly as CLI sweeps write them.
+        batch, so a crashing spec SIGKILLs a pool worker, never this
+        server; the slot's pool is then replaced. The executor is
+        per batch (its key memo dies with it) and journals nothing
+        (the service journal is per-job, written by
+        :meth:`_on_settle`); it shares the service's disk cache so
+        results are content-addressed exactly as CLI sweeps write
+        them.
 
         With ``fabric_workers > 0`` the batch is handed to the
         distributed fabric instead (:meth:`_execute_batch_fabric`).
         """
         if self.config.fabric_workers > 0:
             return self._execute_batch_fabric(specs, engine)
-        executor = SweepExecutor(
-            jobs=self.config.jobs, cache=self.disk_cache,
-            backend=self.config.backend,
-            retry=RetryPolicy(retries=self.config.retries,
-                              timeout_s=self.config.timeout_s),
-            engine=engine, isolate=True)
-        return executor.run_outcomes(specs, strict=False)
+        with self._pools_lock:
+            # Empty only after close_pools: the batch then builds a
+            # private pool, as a lone executor does.
+            pool = self._idle_pools.pop() if self._idle_pools else None
+        try:
+            executor = SweepExecutor(
+                jobs=self.config.jobs, cache=self.disk_cache,
+                backend=self.config.backend,
+                retry=RetryPolicy(retries=self.config.retries,
+                                  timeout_s=self.config.timeout_s),
+                engine=engine, isolate=True, pool=pool)
+            return executor.run_outcomes(specs, strict=False)
+        finally:
+            if pool is not None:
+                with self._pools_lock:
+                    closed = self._pools_closed
+                    if not closed:
+                        self._idle_pools.append(pool)
+                if closed:
+                    pool.close()
+
+    def close_pools(self) -> None:
+        """Close every idle slot's pool and reap its workers (blocking).
+
+        A batch still running keeps its slot's pool and closes it when
+        it returns.
+        """
+        with self._pools_lock:
+            self._pools_closed = True
+            idle, self._idle_pools = self._idle_pools, []
+        for pool in idle:
+            pool.close()
 
     def _execute_batch_fabric(self, specs: List[RunSpec],
                               engine: str) -> SweepOutcome:
@@ -218,7 +259,7 @@ class ReproService:
     def _on_settle(self, job: SpecJob, outcome) -> None:
         """Scheduler settle hook: hot-cache fill + terminal journal."""
         if outcome.ok and outcome.result is not None:
-            self.hot.put(job.key, outcome.result)
+            self.hot.put(job.key, outcome.result, family=job.spec.family)
         if job.drained:
             # A drained job's ``pending`` record *is* the checkpoint
             # --resume replays; writing a terminal line would erase it.
@@ -230,14 +271,17 @@ class ReproService:
         """Content-addressed keys (blocking: builds programs once)."""
         if self._env_fp is None:
             self._env_fp = environment_fingerprint()
-        if len(self._key_memo) > 65536:
-            self._key_memo.clear()
+        memo, capacity = self._key_memo, self.hot.capacity
         keys = []
         for spec in specs:
-            key = self._key_memo.get(spec)
+            key = memo.get(spec)
             if key is None:
                 key = cache_key(spec, env_fingerprint=self._env_fp)
-                self._key_memo[spec] = key
+                with self._key_lock:
+                    while memo and len(memo) >= capacity:
+                        del memo[next(iter(memo))]
+                    if capacity:
+                        memo[spec] = key
             keys.append(key)
         return keys
 
@@ -567,6 +611,10 @@ class ReproService:
             "sweep_requests": self.requests,
             "admission": self.admission.snapshot(),
             "scheduler": self.scheduler.snapshot(),
+            "worker_pools": {
+                "slots": len(self.worker_pools),
+                "spawns": sum(pool.spawns for pool in self.worker_pools),
+            },
             "hot_cache": {
                 "entries": len(self.hot),
                 "capacity": self.hot.capacity,

@@ -14,7 +14,7 @@ the paper reads out of CUPTI (Fig. 10), including:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 from .hardware import GpuSpec
 from .kernel import AccessPattern, KernelDescriptor

@@ -27,7 +27,7 @@ descriptors and therefore different entries, never stale hits.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .calibration import Calibration
 from .hardware import SystemSpec

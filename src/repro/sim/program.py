@@ -9,7 +9,7 @@ of the five data-transfer configurations.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 from .kernel import KernelDescriptor

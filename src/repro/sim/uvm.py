@@ -11,7 +11,7 @@ of those movements live in :mod:`repro.sim.pcie` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 from .hardware import UvmSpec

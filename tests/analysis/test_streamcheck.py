@@ -9,7 +9,7 @@ from repro.sim.pcie import TransferKind
 from repro.sim.program import (BufferDirection, BufferSpec, KernelPhase,
                                Program)
 from repro.sim.runtime import CudaRuntime
-from repro.sim.streams import CudaStream, device_synchronize
+from repro.sim.streams import CudaStream
 from repro.sim.timing import ConfigFlags
 
 from ..analysis.test_rules import make_descriptor

@@ -10,8 +10,7 @@ from repro.fabric import (SpecDAG, SpecNode, compile_figure_grid,
                          family_key, find_children, find_parents,
                          group_key, walk_program)
 from repro.fabric.dag import KIND_PREWARM, renumber
-from repro.harness.executor import (ResultCache, RunSpec, SweepExecutor,
-                                    expand_grid)
+from repro.harness.executor import ResultCache, SweepExecutor, expand_grid
 from repro.harness.resilience import SpecStatus
 from repro.harness.store import run_to_record
 

@@ -3,7 +3,9 @@
 Covers: the ``delay`` / ``flaky_io`` fault kinds, the executor's
 flaky-read retry, the quarantine-race fix in
 :class:`~repro.harness.executor.ResultCache`, the durable journal with
-explicit torn-tail salvage, and the ``isolate`` crash-containment flag.
+explicit torn-tail salvage, the ``isolate`` crash-containment flag,
+and the :class:`~repro.harness.executor.WorkerPool` that keeps process
+workers alive across sweeps.
 """
 
 import json
@@ -14,7 +16,8 @@ import time
 import pytest
 
 from repro.harness import faults
-from repro.harness.executor import ResultCache, RunSpec, SweepExecutor
+from repro.harness.executor import (ResultCache, RunSpec, SweepExecutor,
+                                    WorkerPool)
 from repro.harness.resilience import (RetryPolicy, SpecOutcome, SpecStatus,
                                       SweepJournal)
 from repro.harness.store import run_to_record
@@ -479,3 +482,62 @@ class TestIsolate:
         outcome = executor.run_outcomes([spec], strict=False)
         assert outcome.outcomes[0].status is SpecStatus.FAILED
         assert "quarantined" in (outcome.outcomes[0].error or "")
+
+
+# ----------------------------------------------------------------------
+# WorkerPool: one live pool reused across sweeps
+# ----------------------------------------------------------------------
+class TestWorkerPool:
+    @staticmethod
+    def isolated(pool, **retry):
+        return SweepExecutor(
+            jobs=1, backend="process", isolate=True, pool=pool,
+            retry=RetryPolicy(retries=0, backoff_s=0.0, **retry))
+
+    def test_sweeps_reuse_one_pool(self):
+        pool = WorkerPool("process")
+        try:
+            pids = []
+            for iteration in range(3):
+                spec = spec_for(iteration)
+                outcome = self.isolated(pool).run_outcomes([spec])
+                assert serialize(outcome.results[0]) == serialize(
+                    SweepExecutor(jobs=1).run([spec])[0])
+                pids.append(pool.pids())
+            assert pool.spawns == 1
+            assert pids[0] == pids[1] == pids[2]
+        finally:
+            pool.close()
+
+    def test_one_crash_replaces_the_pool_once(self):
+        poison = spec_for(1)
+        pool = WorkerPool("process")
+        try:
+            self.isolated(pool).run_outcomes([spec_for(0)])
+            assert pool.spawns == 1
+            faults.install(faults.FaultPlan(faults=(
+                faults.Fault.for_spec(poison, kind=faults.KIND_CRASH,
+                                      attempts=()),)))
+            executor = self.isolated(pool, max_crashes=1)
+            outcome = executor.run_outcomes([poison, spec_for(2)])
+            assert executor.last.crashes == 1
+            assert "quarantined" in outcome.outcomes[0].error
+            assert outcome.outcomes[1].ok
+            assert pool.spawns == 2
+            faults.clear()
+            self.isolated(pool).run_outcomes([spec_for(3)])
+            assert pool.spawns == 2
+        finally:
+            pool.close()
+
+    def test_closed_pool_hands_out_nothing(self):
+        pool = WorkerPool("thread")
+        pool.get(1)
+        pool.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            pool.get(1)
+
+    def test_pool_must_match_the_executor_backend(self):
+        with pytest.raises(ValueError, match="thread worker pool"):
+            SweepExecutor(jobs=1, backend="process",
+                          pool=WorkerPool("thread"))

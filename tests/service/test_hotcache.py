@@ -1,10 +1,15 @@
 """Unit battery for the in-memory hot LRU result cache."""
 
+import dataclasses
 import threading
 
 import pytest
 
-from repro.service import HotCache
+from repro.harness.executor import (RunSpec, cache_key,
+                                    environment_fingerprint, execute_spec)
+from repro.harness.store import run_to_record
+from repro.service import HotCache, ReproService, ServiceConfig
+from repro.sim.counters import CounterReport
 
 
 class TestBasics:
@@ -81,3 +86,62 @@ class TestThreadSafety:
             thread.join()
         assert len(cache) <= 32
         assert cache.stats.lookups == 800
+
+
+class TestSharedCounters:
+    """Entries of one sweep family share one counter report."""
+
+    @staticmethod
+    def family_runs(iterations=3, base_seed=1234):
+        specs = [RunSpec(workload="vector_seq", size="tiny", mode="uvm",
+                         iteration=i, base_seed=base_seed)
+                 for i in range(iterations)]
+        return [(spec, execute_spec(spec, engine="vector"))
+                for spec in specs]
+
+    def test_shared_report_is_value_equal_to_each_entrys_own(self):
+        cache = HotCache(capacity=8)
+        runs = self.family_runs()
+        for spec, run in runs:
+            cache.put(f"k{spec.iteration}", run, family=spec.family)
+        stored = [cache.get(f"k{spec.iteration}") for spec, _ in runs]
+        assert all(entry.counters is stored[0].counters
+                   for entry in stored)
+        for entry, (_, run) in zip(stored, runs):
+            assert entry.counters == run.counters
+            assert run_to_record(entry, with_counters=True) \
+                == run_to_record(run, with_counters=True)
+
+    def test_unequal_report_keeps_its_own(self):
+        cache = HotCache(capacity=8)
+        (spec, first), (other_spec, second) = self.family_runs(2)
+        odd = dataclasses.replace(second, counters=CounterReport())
+        cache.put("k0", first, family=spec.family)
+        cache.put("k1", odd, family=other_spec.family)
+        assert cache.get("k0").counters == first.counters
+        assert cache.get("k1").counters == CounterReport()
+
+    def test_evicting_a_family_frees_its_report(self):
+        cache = HotCache(capacity=2)
+        for seed in (1, 2, 3):
+            (spec, run), = self.family_runs(1, base_seed=seed)
+            cache.put(f"s{seed}", run, family=spec.family)
+        assert len(cache) == 2
+        assert len(cache._families) == 2
+        cache.clear()
+        assert not cache._families
+
+
+class TestKeyMemo:
+    def test_server_key_memo_stays_within_hot_capacity(self, tmp_path):
+        service = ReproService(ServiceConfig(port=0, cache_dir=tmp_path,
+                                             hot_capacity=8))
+        specs = [RunSpec(workload="saxpy", size="tiny", mode="standard",
+                         iteration=i) for i in range(20)]
+        keys = service._keys_for(specs)
+        assert len(service._key_memo) <= 8
+        env = environment_fingerprint()
+        assert keys == [cache_key(spec, env_fingerprint=env)
+                        for spec in specs]
+        assert service._keys_for(specs) == keys
+        assert len(service._key_memo) <= 8

@@ -8,7 +8,6 @@ containment, breaker fallback, and drain/resume checkpointing.
 """
 
 import asyncio
-import json
 
 from repro.harness import faults
 from repro.service import (AdmissionLimits, ReproService, ServiceConfig,

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.sim.calibration import (AllocationCosts, Calibration, KernelCosts,
-                                   NoiseModel, TransferCosts,
-                                   default_calibration)
+from repro.sim.calibration import (AllocationCosts, KernelCosts, NoiseModel,
+                                   TransferCosts, default_calibration)
 from repro.sim.kernel import AccessPattern
 
 

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import (AllOf, Environment, Event, Resource,
-                              SimulationError, Timeout)
+from repro.sim.engine import AllOf, Resource, SimulationError, Timeout
 
 
 class TestEvent:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.hardware import (GIB, KIB, MIB, CpuSpec, GpuSpec, LinkSpec,
-                                SystemSpec, UvmSpec, default_system)
+                                UvmSpec, default_system)
 
 
 class TestCpuSpec:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim.hardware import GpuSpec
-from repro.sim.kernel import AccessPattern, KernelDescriptor
 from repro.sim.sm import (ASYNC_MLP_FACTOR, Occupancy, occupancy_for,
                           pipeline_fits, smem_per_block)
 

@@ -8,7 +8,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
 
 EXAMPLES_DIR = Path(__file__).parents[1] / "examples"
 

@@ -1,5 +1,6 @@
-"""CI gate: the shipped registry lints clean, and (when available)
-the Python sources satisfy the ruff configuration in pyproject.toml.
+"""CI gate: the shipped registry lints clean, the Python sources
+import nothing they never use, and (when available) they satisfy the
+ruff configuration in pyproject.toml.
 
 The registry sweep is the contract ``repro lint --all --format json``
 enforces in CI: a workload characterization that overflows shared
@@ -7,6 +8,7 @@ memory, exceeds HBM under an explicit mode, or contradicts its own
 buffer declarations must never ship.
 """
 
+import ast
 import importlib.util
 import json
 import shutil
@@ -86,6 +88,88 @@ class TestStaticClean:
         code = main(["lint", "--static", "--strict"])
         capsys.readouterr()
         assert code == 0
+
+
+def _annotation_names(tree: ast.AST) -> set:
+    """Names inside string annotations (``x: "Dict[str, int]"``)."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            arguments = node.args
+            annotations.append(node.returns)
+            annotations.extend(
+                arg.annotation for arg in
+                arguments.posonlyargs + arguments.args
+                + arguments.kwonlyargs + [arguments.vararg, arguments.kwarg]
+                if arg is not None)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    names = set()
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    parsed = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                names.update(name.id for name in ast.walk(parsed)
+                             if isinstance(name, ast.Name))
+    return names
+
+
+def unused_imports(path: Path) -> list:
+    """``(line, name)`` of each top-level import never referenced in its
+    module: by name, in a string annotation, or in ``__all__``. Lines
+    marked ``noqa`` are exempt, as under ruff's F401."""
+    source = path.read_text()
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) \
+                and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= _annotation_names(tree)
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            used.update(entry.value for entry in ast.walk(node.value)
+                        if isinstance(entry, ast.Constant))
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in used and "noqa" not in lines[line - 1])
+
+
+class TestNoUnusedImports:
+    """F401 without ruff: tier-1 sees an unused import even where the
+    ruff gate below self-skips. Package ``__init__`` modules re-export
+    by importing, so they are exempt."""
+
+    def test_sources_have_no_unused_top_level_imports(self):
+        offenders = [
+            f"{path.relative_to(REPO_ROOT)}:{line}: {name} imported "
+            f"but unused"
+            for root in ("src", "tests")
+            for path in sorted((REPO_ROOT / root).rglob("*.py"))
+            if path.name != "__init__.py"
+            for line, name in unused_imports(path)]
+        assert not offenders, "\n".join(offenders)
+
+    def test_detects_an_unused_import(self, tmp_path):
+        module = tmp_path / "module.py"
+        module.write_text(
+            "import os\nimport sys as system\n"
+            "from typing import Dict, List\n"
+            "from json import dumps  # noqa: F401\n"
+            "__all__ = ['List']\n"
+            "def f(x: 'Dict[str, int]'):\n    return system.argv\n")
+        assert unused_imports(module) == [(1, "os")]
 
 
 class TestRuffClean:

@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.workloads.uvmbench import (Bayesian, Knn, best_parent,
-                                      family_counts, k2_score,
+from repro.workloads.uvmbench import (Bayesian, Knn, family_counts, k2_score,
                                       knn_reference)
 
 
