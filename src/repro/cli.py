@@ -67,9 +67,6 @@ def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
     """Sweep-executor knobs shared by grid-running commands."""
     parser.add_argument("--jobs", type=int, default=None,
                         help="parallel workers (default: $REPRO_JOBS or 1)")
-    parser.add_argument("--backend", default="thread",
-                        choices=("thread", "process"),
-                        help="worker pool kind for --jobs > 1")
     parser.add_argument("--no-cache", action="store_true",
                         help="always re-simulate; do not read or write "
                              "the result cache")
@@ -81,7 +78,7 @@ def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
                              "with exponential backoff (default: 0)")
     parser.add_argument("--timeout", type=float, default=None, metavar="S",
                         help="per-cell wall-clock budget in seconds "
-                             "(process backend only; hung workers are "
+                             "(pooled sweeps only; hung workers are "
                              "killed and the cell retried or marked "
                              "timed-out)")
     parser.add_argument("--resume", action="store_true",
@@ -134,7 +131,7 @@ def _executor_from_args(args) -> SweepExecutor:
         retry = RetryPolicy(retries=retries, timeout_s=timeout)
         journal = (SweepJournal.beside(cache.root)
                    if cache is not None else None)
-        return SweepExecutor(jobs=jobs, cache=cache, backend=args.backend,
+        return SweepExecutor(jobs=jobs, cache=cache,
                              progress=_progress_printer(), retry=retry,
                              journal=journal, resume=resume,
                              strict=getattr(args, "strict", False),
@@ -640,10 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "the chosen port is announced on stdout)")
     serve.add_argument("--jobs", type=int, default=1,
                        help="executor workers per batch (default: 1)")
-    serve.add_argument("--backend", default="process",
-                       choices=("thread", "process"),
-                       help="batch-executor backend (default: process — "
-                            "required for crash/hang containment)")
     serve.add_argument("--engine", default=DEFAULT_ENGINE,
                        choices=tuple(ENGINES),
                        help="simulation engine; non-reference engines "
@@ -656,8 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--retries", type=int, default=1,
                        help="per-spec retries inside a batch (default: 1)")
     serve.add_argument("--timeout", type=float, default=30.0, metavar="S",
-                       help="per-spec wall-clock budget (process "
-                            "backend; default: 30)")
+                       help="per-spec wall-clock budget (default: 30)")
     serve.add_argument("--cache-dir", default=None,
                        help="result-cache directory (default: "
                             "$REPRO_CACHE_DIR or ~/.cache/repro/results)")
@@ -689,11 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--breaker-recovery", type=int, default=3,
                        help="reference-engine successes before probing "
                             "the configured engine again")
-    serve.add_argument("--fabric-workers", type=int, default=0,
-                       help="hand each batch to the distributed fabric "
-                            "with N crash-tolerant worker processes "
-                            "instead of the in-process executor pool "
-                            "(0 = off; see docs/FABRIC.md)")
     return parser
 
 
@@ -854,7 +841,7 @@ def _cmd_serve(args):
     try:
         config = ServiceConfig(
             host=args.host, port=args.port, jobs=args.jobs,
-            backend=args.backend, engine=args.engine, slots=args.slots,
+            engine=args.engine, slots=args.slots,
             batch_size=args.batch_size, retries=args.retries,
             timeout_s=args.timeout,
             limits=AdmissionLimits(
@@ -867,8 +854,7 @@ def _cmd_serve(args):
             cache_dir=Path(args.cache_dir) if args.cache_dir else None,
             hot_capacity=args.hot_capacity, resume=args.resume,
             breaker_threshold=args.breaker_threshold,
-            breaker_recovery=args.breaker_recovery,
-            fabric_workers=args.fabric_workers)
+            breaker_recovery=args.breaker_recovery)
     except ValueError as error:
         raise SystemExit(str(error)) from error
     service = ReproService(config)

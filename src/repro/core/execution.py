@@ -288,7 +288,6 @@ def execute_program(program: Program, mode: TransferMode, *,
             rng.bit_generator.state = state
             engine = "reference"
         else:
-            vec_stats().analytic_runs += 1
             return _assemble_result(rt, program, mode, size_label, seed)
     rt = _build_and_run(engine, program, mode, system, calib, rng,
                         smem_carveout_bytes, kernel_sim)

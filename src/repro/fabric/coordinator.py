@@ -18,8 +18,8 @@ Because every decision is a fold over the journal + leases, a
 coordinator crash loses nothing: restart it on the same root and it
 resumes exactly where the log says things stand.
 
-:func:`run_fabric` is the one-call facade the CLI and
-``repro.service`` use: init root → spawn N workers → monitor →
+:func:`run_fabric` is the one-call facade the CLI uses: init
+root → spawn N workers → monitor →
 collect a :class:`~repro.harness.resilience.SweepOutcome` that is
 bit-identical to ``SweepExecutor.run_dag`` on the same DAG.
 """
@@ -328,10 +328,10 @@ def run_fabric(specs_or_dag: Union[Sequence[RunSpec], SpecDAG],
                respawn: bool = True) -> SweepOutcome:
     """Compile (if needed), init the root, run the fleet, collect.
 
-    The one-call path behind ``repro fabric run`` and the service's
-    batch hand-off. Accepts either a flat spec list (compiled under
-    ``structure``, see :data:`repro.fabric.dag.STRUCTURES`) or an
-    already-compiled :class:`SpecDAG`.
+    The one-call path behind ``repro fabric run``. Accepts either a
+    flat spec list (compiled under ``structure``, see
+    :data:`repro.fabric.dag.STRUCTURES`) or an already-compiled
+    :class:`SpecDAG`.
     """
     if isinstance(specs_or_dag, SpecDAG):
         dag = specs_or_dag

@@ -12,13 +12,13 @@ produce bit-identical results. This module exploits that:
   runs (key = stable hash of spec + program structure + hardware model
   + calibration + code-version salt), reusing the
   :mod:`repro.harness.store` record schema;
-* :class:`SweepExecutor` - fans specs out over a thread/process pool
-  and fills cache hits without re-simulating, preserving input order;
+* :class:`SweepExecutor` - fans specs out over a process pool and
+  fills cache hits without re-simulating, preserving input order;
 * :class:`WorkerPool` - the live pool a long-lived caller reuses
   across sweeps, replaced only when a worker crashes or hangs.
 
 Determinism contract: for any spec list, ``SweepExecutor(jobs=1)``,
-``SweepExecutor(jobs=N)`` (either backend) and a warm-cache replay all
+``SweepExecutor(jobs=N)`` and a warm-cache replay all
 return byte-identical serialized :class:`~repro.core.results.RunResult`
 sequences. ``tests/harness/test_executor.py`` pins this down.
 
@@ -48,7 +48,7 @@ import threading
 import time
 import traceback as traceback_module
 from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
-                                ProcessPoolExecutor, ThreadPoolExecutor)
+                                ProcessPoolExecutor)
 from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -79,9 +79,6 @@ CODE_VERSION = "executor-v2"
 #: ``REPRO_JOBS=2`` so the whole tier-1 suite exercises the pool path).
 JOBS_ENV = "REPRO_JOBS"
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-Backend = str  # "thread" | "process"
-_BACKENDS = ("thread", "process")
 
 
 def default_jobs() -> int:
@@ -699,7 +696,6 @@ class SweepStats:
     executed: int = 0
     elapsed_s: float = 0.0
     jobs: int = 1
-    backend: Backend = "thread"
     failed: int = 0
     timed_out: int = 0
     skipped: int = 0
@@ -746,7 +742,7 @@ class SweepStats:
             label = f"{self.families_rerouted} families rerouted"
             parts.append(f"{label} ({rules})" if rules else label)
         if self.executed and self.jobs > 1:
-            parts.append(f"{self.jobs} {self.backend} workers")
+            parts.append(f"{self.jobs} workers")
         for label, count in (("failed", self.failed),
                              ("timed out", self.timed_out),
                              ("skipped", self.skipped),
@@ -801,10 +797,9 @@ class SweepExecutor:
     * ``jobs=1`` executes inline (no pool, no pickling) - the
       reference serial order.
     * ``jobs>1`` fans cache misses out over a
-      :class:`ThreadPoolExecutor` (default; the NumPy-heavy simulator
-      releases little of the GIL, but threads cost nothing to spawn)
-      or a :class:`ProcessPoolExecutor` (``backend="process"``; true
-      parallelism, requires picklable specs - which RunSpecs are).
+      :class:`ProcessPoolExecutor` (specs travel pickled, which
+      RunSpecs are). An analytic engine first replays the whole grid
+      in this process; workers get only the specs it leaves.
 
     Results always come back in spec order regardless of completion
     order, so downstream grouping never depends on scheduling.
@@ -825,7 +820,6 @@ class SweepExecutor:
                  cache: Optional[ResultCache] = None,
                  system: Optional[SystemSpec] = None,
                  calib: Optional[Calibration] = None,
-                 backend: Backend = "thread",
                  progress: Optional[ProgressFn] = None,
                  retry: Optional[RetryPolicy] = None,
                  journal: Optional[SweepJournal] = None,
@@ -834,12 +828,6 @@ class SweepExecutor:
                  engine: str = "reference",
                  isolate: bool = False,
                  pool: Optional["WorkerPool"] = None):
-        if backend not in _BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of {_BACKENDS}")
-        if pool is not None and pool.backend != backend:
-            raise ValueError(f"a {pool.backend} worker pool cannot serve "
-                             f"the {backend} backend")
         engine_spec(engine)  # unknown names raise the canonical error
         if jobs is None:
             jobs = default_jobs()
@@ -851,7 +839,6 @@ class SweepExecutor:
         self.cache = cache
         self.system = system
         self.calib = calib
-        self.backend = backend
         self.progress = progress
         self.retry = retry if retry is not None else DEFAULT_RETRY_POLICY
         self.journal = journal
@@ -859,7 +846,8 @@ class SweepExecutor:
         self.strict = strict
         self.engine = engine
         # ``isolate`` forces the pool path even for a single pending
-        # spec, so a crash fault (SIGKILL) can never take down the
+        # spec, and skips the grid replay, so every spec runs in a pool
+        # worker: a crash fault (SIGKILL) can never take down the
         # coordinating process — the containment contract a long-lived
         # server (repro.service) needs for every batch it dispatches.
         self.isolate = isolate
@@ -878,8 +866,8 @@ class SweepExecutor:
         self._crashes = 0
         self._phase_memo = None
         self._memo_before = (0, 0)
-        # Grid-precomputed results for the sweep in flight (vector
-        # engine, in-process backends): spec -> RunResult.
+        # Grid-precomputed results for the sweep in flight (analytic
+        # engine, not isolated): spec -> RunResult.
         self._grid: Dict[RunSpec, RunResult] = {}
         self._grid_groups = 0
         self._families_fused = 0
@@ -1030,8 +1018,8 @@ class SweepExecutor:
         self._families_rerouted = 0
         self._reroute_rules = {}
         if engine_spec(self.engine).analytic:
-            # Bind the coordinator-side memo so serial and thread
-            # sweeps report hit/miss deltas in the summary (process
+            # Bind the coordinator-side memo so the grid replay and
+            # serial sweeps report hit/miss deltas in the summary (pool
             # workers keep private memos the coordinator cannot see).
             from ..sim.phasecache import phase_memo_for
             self._phase_memo = phase_memo_for(
@@ -1081,25 +1069,24 @@ class SweepExecutor:
             pending = [(index, spec, keys[index])
                        for index, spec in enumerate(specs)
                        if outcomes[index] is None]
-            use_pool = bool(pending) and (
-                self.isolate or (self.jobs > 1 and len(pending) > 1))
             if (pending and engine_spec(self.engine).analytic
-                    and (not use_pool or self.backend == "thread")):
+                    and not self.isolate
+                    and (self.jobs == 1 or faults.active_plan() is None)):
                 # Grid-level batching *before* spec fan-out: compile
                 # each distinct program structure once, batch-warm the
                 # phase memo across every group in one array program,
-                # and replay all cache-miss specs analytically.  Only
-                # in-process backends can serve from the coordinator's
-                # dict; process workers keep the per-spec path.
+                # and replay all cache-miss specs analytically.  Pool
+                # workers then get only what the grid leaves.  Under a
+                # fault plan every spec must reach a worker to meet its
+                # faults, so a pooled sweep would discard the grid.
                 self._precompute_grid([spec for _, spec, _ in pending])
-            if (pending and self._grid and not use_pool
-                    and faults.active_plan() is None):
+            if pending and self._grid and faults.active_plan() is None:
                 # Bulk-settle: with no fault plan installed, a grid hit
                 # cannot raise inside ``_execute_local``, so the
                 # per-spec retry loop is pure overhead for precomputed
                 # results — publish them directly (same order, same
                 # journal/cache writes) and leave only the misses to
-                # the serial path.
+                # the per-spec path.
                 #
                 # Outcomes settle and tick per spec; cache and journal
                 # writes go out per sweep family (contiguous in spec
@@ -1134,7 +1121,7 @@ class SweepExecutor:
                 self._done += settled
                 pending = remaining
             if pending:
-                if use_pool:
+                if self.isolate or (self.jobs > 1 and len(pending) > 1):
                     self._run_pool(pending, outcomes, total, strict)
                 else:
                     self._run_serial(pending, outcomes, total, strict)
@@ -1209,8 +1196,7 @@ class SweepExecutor:
         sweep = SweepOutcome(outcomes=filled)
         if len(stats) > 1:
             # Collapse the per-layer stats into one sweep's accounting.
-            total = SweepStats(jobs=self.jobs, backend=self.backend,
-                               engine=self.engine)
+            total = SweepStats(jobs=self.jobs, engine=self.engine)
             for layer_stats in stats:
                 total.total += layer_stats.total
                 total.cache_hits += layer_stats.cache_hits
@@ -1328,7 +1314,7 @@ class SweepExecutor:
             total=len(filled), cache_hits=hits,
             executed=len(filled) - hits - counts["skipped"],
             elapsed_s=time.perf_counter() - started,
-            jobs=self.jobs, backend=self.backend,
+            jobs=self.jobs,
             failed=counts["failed"], timed_out=counts["timed_out"],
             skipped=counts["skipped"], retries=self._retries,
             crashes=self._crashes, engine=self.engine,
@@ -1356,7 +1342,7 @@ class SweepExecutor:
             return None
 
     # ------------------------------------------------------------------
-    # Whole-grid precompute (vector engine, in-process backends)
+    # Whole-grid precompute (analytic engine, in the coordinator)
     # ------------------------------------------------------------------
     def _precompute_grid(self, specs: Sequence[RunSpec]) -> None:
         """Compile each program structure once and replay every spec.
@@ -1665,7 +1651,7 @@ class SweepExecutor:
 
         Unlike the old ``pool.map``, every spec gets its own future, so
         one raising spec cannot poison its chunk-mates; per-future
-        deadlines (process backend) time out hung workers; and
+        deadlines time out hung workers; and
         ``BrokenProcessPool`` rebuilds the pool, requeues survivors,
         and quarantines poison specs after ``retry.max_crashes``
         crashes. Results still land in spec order via ``outcomes``.
@@ -1680,15 +1666,13 @@ class SweepExecutor:
         """
         policy = self.retry
         workers = min(self.jobs, len(pending))
-        use_deadline = (self.backend == "process"
-                        and policy.timeout_s is not None)
+        use_deadline = policy.timeout_s is not None
         # queue items: (index, spec, key, attempt, not_before)
         queue: List[Tuple[int, RunSpec, Optional[str], int, float]] = [
             (index, spec, key, 1, 0.0) for index, spec, key in pending]
         crashes: Dict[int, int] = {}
         in_flight: Dict = {}
-        pools = self.pool if self.pool is not None \
-            else WorkerPool(self.backend)
+        pools = self.pool if self.pool is not None else WorkerPool()
         pool = pools.get(self.jobs)
         try:
             while queue or in_flight:
@@ -1710,16 +1694,10 @@ class SweepExecutor:
                         break
                     index, spec, key, attempt, _ = queue.pop(slot)
                     try:
-                        if self.backend == "process":
-                            future = pool.submit(
-                                _execute_entry,
-                                (spec, self.system, self.calib, attempt,
-                                 self.engine, faults.active_plan()))
-                        else:
-                            # Threads share the coordinator's memory, so
-                            # they can serve grid-precomputed results.
-                            future = pool.submit(self._execute_local,
-                                                 spec, attempt)
+                        future = pool.submit(
+                            _execute_entry,
+                            (spec, self.system, self.calib, attempt,
+                             self.engine, faults.active_plan()))
                     except BrokenExecutor:
                         victims.append((index, spec, key, attempt))
                         break
@@ -1788,7 +1766,7 @@ class SweepExecutor:
                         outcomes, total, strict)
                     continue
 
-                # 4. Expire hung workers (process backend only).
+                # 4. Expire hung workers.
                 if use_deadline:
                     now = time.monotonic()
                     expired = [future for future, meta in in_flight.items()
@@ -1928,11 +1906,7 @@ class WorkerPool:
     built.
     """
 
-    def __init__(self, backend: Backend = "process"):
-        if backend not in _BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of {_BACKENDS}")
-        self.backend = backend
+    def __init__(self):
         self.spawns = 0
         self._pool = None
         self._size = 0
@@ -1958,18 +1932,15 @@ class WorkerPool:
         if self._pool is not None and (self._size < workers or self.broken):
             self.discard()
         if self._pool is None:
-            if self.backend == "process":
-                # Workers fork from one forkserver that has this module
-                # imported: they start with the simulator loaded and
-                # hold none of the coordinator's threads, sockets or
-                # signal handlers (a long-lived worker forked from a
-                # server would keep its clients' connections open).
-                context = multiprocessing.get_context("forkserver")
-                context.set_forkserver_preload([__name__])
-                self._pool = ProcessPoolExecutor(
-                    max_workers=workers, mp_context=context)
-            else:
-                self._pool = ThreadPoolExecutor(max_workers=workers)
+            # Workers fork from one forkserver that has this module
+            # imported: they start with the simulator loaded and hold
+            # none of the coordinator's threads, sockets or signal
+            # handlers (a long-lived worker forked from a server would
+            # keep its clients' connections open).
+            context = multiprocessing.get_context("forkserver")
+            context.set_forkserver_preload([__name__])
+            self._pool = ProcessPoolExecutor(max_workers=workers,
+                                             mp_context=context)
             self._size = workers
             self.spawns += 1
         return self._pool

@@ -13,8 +13,7 @@ test-only hook (:func:`maybe_fire`).
 Determinism contract: a plan matches on the spec's *coordinates*
 (workload, size, mode, iteration) plus the attempt number — never on
 wall-clock time, scheduling order, or randomness — so a chaos test
-replays bit-identically under ``jobs=1``, thread pools, and process
-pools.
+replays bit-identically under ``jobs=1`` and pooled sweeps.
 
 Propagation: :func:`install` stores the plan both in this process (a
 module global) and in ``os.environ[PLAN_ENV]`` (as JSON), so child

@@ -13,7 +13,7 @@ sweeps alive:
 * :class:`RetryPolicy` - bounded retries with exponential backoff and
   *deterministic* jitter (seeded from the spec's own seed stream, so a
   rerun backs off identically bit-for-bit), per-spec wall-clock
-  timeouts (process backend), and the poison-spec crash threshold;
+  timeouts (pooled sweeps), and the poison-spec crash threshold;
 * :class:`SweepJournal` - an append-only JSONL checkpoint of terminal
   spec keys next to the result cache, enabling ``--resume``. It
   doubles as the *coordination log* of the distributed sweep fabric
@@ -215,9 +215,9 @@ class RetryPolicy:
     * ``jitter`` - +/- fraction of the base delay, drawn from a
       generator seeded by the *spec's own* ``seed_sequence`` so reruns
       back off bit-identically (no shared RNG, no wall-clock seeds);
-    * ``timeout_s`` - per-spec wall-clock budget, enforced on the
-      process backend only (threads cannot be killed; the thread and
-      inline backends document-and-ignore it);
+    * ``timeout_s`` - per-spec wall-clock budget, enforced on pooled
+      sweeps only (a hung worker process is killed; a serial sweep
+      runs inline and documents-and-ignores it);
     * ``max_crashes`` - quarantine a spec as poison after this many
       worker-process crashes while it was in flight.
     """

@@ -79,7 +79,6 @@ class ServiceConfig:
     #: Batch-executor shape: ``jobs`` workers per batch, ``slots``
     #: concurrent batches, up to ``batch_size`` specs per batch.
     jobs: int = 1
-    backend: str = "process"
     engine: str = DEFAULT_ENGINE
     slots: int = 2
     batch_size: int = 8
@@ -97,12 +96,6 @@ class ServiceConfig:
     breaker_recovery: int = 3
     max_body_bytes: int = 4 * 1024 * 1024
     request_read_timeout_s: float = 10.0
-    #: > 0 hands every scheduler batch to the distributed fabric
-    #: (:func:`repro.fabric.run_fabric`) with this many worker
-    #: processes instead of an in-process executor pool; batches then
-    #: survive worker SIGKILLs and stragglers via lease recovery
-    #: (docs/FABRIC.md). 0 keeps the classic isolated-executor path.
-    fabric_workers: int = 0
 
     def __post_init__(self) -> None:
         engine_spec(self.engine)
@@ -110,8 +103,6 @@ class ServiceConfig:
             raise ValueError("jobs must be >= 1")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
-        if self.fabric_workers < 0:
-            raise ValueError("fabric_workers must be >= 0")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError("timeout_s must be > 0")
         if self.default_deadline_s is not None \
@@ -132,9 +123,9 @@ class ReproService:
     scheduler executes each batch through a crash-isolated
     :class:`~repro.harness.executor.SweepExecutor` on one of ``slots``
     long-lived :class:`~repro.harness.executor.WorkerPool` s, one per
-    concurrent batch (process backend by default, so hang/crash faults
-    are contained and timed out exactly as in CLI sweeps; a crash or
-    hang replaces only that slot's pool). Every admitted spec is
+    concurrent batch (worker processes, so hang/crash faults are
+    contained and timed out exactly as in CLI sweeps; a crash or hang
+    replaces only that slot's pool). Every admitted spec is
     journaled ``pending`` at admission and terminally on settle, giving
     SIGTERM drains a checkpoint that ``--resume`` replays
     bit-identically.
@@ -168,8 +159,7 @@ class ReproService:
         self._key_memo: Dict[RunSpec, str] = {}
         self._key_lock = threading.Lock()
         # One worker pool per scheduler slot, checked out per batch.
-        self.worker_pools = [WorkerPool(self.config.backend)
-                             for _ in range(self.config.slots)]
+        self.worker_pools = [WorkerPool() for _ in range(self.config.slots)]
         self._idle_pools = list(self.worker_pools)
         self._pools_closed = False
         self._pools_lock = threading.Lock()
@@ -182,20 +172,15 @@ class ReproService:
         """One scheduler batch through an isolated executor on a slot's
         long-lived worker pool.
 
-        ``isolate=True`` forces the pool path even for a one-spec
-        batch, so a crashing spec SIGKILLs a pool worker, never this
-        server; the slot's pool is then replaced. The executor is
+        ``isolate=True`` sends every spec, even of a one-spec batch, to
+        a pool worker, so a crashing spec SIGKILLs that worker, never
+        this server; the slot's pool is then replaced. The executor is
         per batch (its key memo dies with it) and journals nothing
         (the service journal is per-job, written by
         :meth:`_on_settle`); it shares the service's disk cache so
         results are content-addressed exactly as CLI sweeps write
         them.
-
-        With ``fabric_workers > 0`` the batch is handed to the
-        distributed fabric instead (:meth:`_execute_batch_fabric`).
         """
-        if self.config.fabric_workers > 0:
-            return self._execute_batch_fabric(specs, engine)
         with self._pools_lock:
             # Empty only after close_pools: the batch then builds a
             # private pool, as a lone executor does.
@@ -203,7 +188,6 @@ class ReproService:
         try:
             executor = SweepExecutor(
                 jobs=self.config.jobs, cache=self.disk_cache,
-                backend=self.config.backend,
                 retry=RetryPolicy(retries=self.config.retries,
                                   timeout_s=self.config.timeout_s),
                 engine=engine, isolate=True, pool=pool)
@@ -228,33 +212,6 @@ class ReproService:
             idle, self._idle_pools = self._idle_pools, []
         for pool in idle:
             pool.close()
-
-    def _execute_batch_fabric(self, specs: List[RunSpec],
-                              engine: str) -> SweepOutcome:
-        """One scheduler batch through the distributed sweep fabric.
-
-        Each batch gets its own fabric root under the service cache
-        directory, named by the batch's content (a root is one sweep,
-        forever) — a re-dispatched identical batch after a restart
-        reuses the same root and replays from its journal + cache.
-        Results are copied into the service disk cache afterwards
-        (``put`` is first-commit-wins, so double publishes are
-        harmless) to keep hot-cache refills and later CLI sweeps on
-        the usual content-addressed path.
-        """
-        import hashlib
-
-        from ..fabric import FabricMeta, run_fabric
-        keys = self._keys_for(specs)
-        digest = hashlib.sha256("\n".join(keys).encode()).hexdigest()[:16]
-        root = self.cache_root / "fabric" / digest
-        outcome = run_fabric(
-            specs, root, workers=self.config.fabric_workers,
-            structure="figure", meta=FabricMeta(engine=engine))
-        for key, spec_outcome in zip(keys, outcome):
-            if spec_outcome.ok and spec_outcome.result is not None:
-                self.disk_cache.put(key, spec_outcome.result)
-        return outcome
 
     def _on_settle(self, job: SpecJob, outcome) -> None:
         """Scheduler settle hook: hot-cache fill + terminal journal."""

@@ -91,35 +91,10 @@ class FamilyRerouted(Exception):
 
 @dataclass
 class VecStats:
-    """Process-wide accounting for the vector engine."""
+    """Process-wide accounting for the vector engine (per-sweep
+    fusion counts live in :class:`repro.harness.executor.SweepStats`)."""
 
-    analytic_runs: int = 0    # programs fully replayed analytically
-    fallbacks: int = 0        # runs rerouted to the event engine
-    cells_batched: int = 0    # phase cells evaluated by array programs
-    grids: int = 0            # simulate_phase_grid invocations
-    compiled_groups: int = 0  # program structures compiled to op lists
-    replayed: int = 0         # specs served by family replay
-    families_fused: int = 0   # families that passed the fusion proof
-    families_rerouted: int = 0  # families the classifier rejected
-    prewarm_dedup: int = 0    # duplicate prewarm cells skipped
-    prewarm_reused: int = 0   # prewarm cells already in the memo
-
-    def __post_init__(self) -> None:
-        #: reroute counts keyed by the FamilyRerouted rule that fired
-        self.reroute_rules: Dict[str, int] = {}
-
-    def reset(self) -> None:
-        self.analytic_runs = 0
-        self.fallbacks = 0
-        self.cells_batched = 0
-        self.grids = 0
-        self.compiled_groups = 0
-        self.replayed = 0
-        self.families_fused = 0
-        self.families_rerouted = 0
-        self.prewarm_dedup = 0
-        self.prewarm_reused = 0
-        self.reroute_rules = {}
+    fallbacks: int = 0  # runs rerouted to the event engine
 
 
 _STATS = VecStats()
@@ -504,8 +479,6 @@ def simulate_phase_grid(cells: Sequence[PhaseCell], system: SystemSpec,
             occupancy_fraction=occupancy,
             counters=counters,
         ))
-    _STATS.grids += 1
-    _STATS.cells_batched += len(cells)
     return executions
 
 
@@ -524,25 +497,16 @@ def prewarm_phase_memo(memo: PhaseMemo,
     Family members across sweep groups routinely share phase
     signatures (pageable/pinned differ only in transfer kinds, not in
     kernel cells), so each unique cell is hashed exactly once here and
-    the saved work is accounted in :class:`VecStats`: ``prewarm_dedup``
-    counts duplicate occurrences skipped, ``prewarm_reused`` counts
-    unique cells the memo already held.
+    cells the memo already holds are skipped.
     """
     seen = set()
     fresh = []
-    duplicates = 0
-    reused = 0
     for cell in cells:
         if cell in seen:
-            duplicates += 1
             continue
         seen.add(cell)
-        if cell in memo:
-            reused += 1
-        else:
+        if cell not in memo:
             fresh.append(cell)
-    _STATS.prewarm_dedup += duplicates
-    _STATS.prewarm_reused += reused
     if not fresh:
         return 0
     for cell, execution in zip(fresh,
@@ -727,7 +691,6 @@ class CompilerRuntime(CudaRuntime):
             copy_engines=self.system.link.copy_engines,
             launches=tuple(self.launches),
         )
-        _STATS.compiled_groups += 1
         return compiled
 
 
@@ -871,8 +834,6 @@ class CompiledFamily:
 
 
 def _reroute(rule: str, detail: str) -> None:
-    _STATS.families_rerouted += 1
-    _STATS.reroute_rules[rule] = _STATS.reroute_rules.get(rule, 0) + 1
     raise FamilyRerouted(rule, detail)
 
 
@@ -1049,7 +1010,6 @@ def compile_family(cells: Sequence[CompiledProgram],
     if first >= 0:
         groups.append((first, last))
 
-    _STATS.families_fused += 1
     return CompiledFamily(
         cells=tuple(cells),
         codes=codes,
@@ -1225,9 +1185,6 @@ def replay_family(fam: CompiledFamily, cell_index: np.ndarray,
         else:
             gpu_busy = np.zeros(n, dtype=np.float64)
 
-    served = int(np.count_nonzero(valid))
-    _STATS.replayed += served
-    _STATS.analytic_runs += served
     return FamilyReplay(alloc_ns=alloc, memcpy_ns=memcpy, kernel_ns=kernel,
                         wall_ns=wall, gpu_busy=gpu_busy, valid=valid)
 

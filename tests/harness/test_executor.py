@@ -1,8 +1,8 @@
 """Determinism battery for the parallel sweep executor.
 
-The executor's contract: serial, thread-parallel, process-parallel and
-warm-cache replays of the same spec list all produce byte-identical
-serialized RunResults, in spec order.
+The executor's contract: serial, pooled and warm-cache replays of the
+same spec list all produce byte-identical serialized RunResults, in
+spec order.
 """
 
 import json
@@ -14,9 +14,14 @@ import pytest
 
 from repro.core.configs import ALL_MODES, TransferMode
 from repro.core.experiment import Experiment
+from repro.harness import faults
 from repro.harness.executor import (CacheStats, ResultCache, RunSpec,
-                                    SweepExecutor, collect_comparisons,
-                                    collect_runsets, expand_grid)
+                                    SweepExecutor, WorkerPool,
+                                    collect_comparisons, collect_runsets,
+                                    expand_grid)
+# Aliased: pyproject collects `bench_*` callables as tests.
+from repro.harness.regression import bench_grid_specs as grid_specs_for
+from repro.harness.resilience import RetryPolicy
 from repro.harness.store import run_to_record
 from repro.sim.calibration import default_calibration
 from repro.sim.hardware import default_system
@@ -45,14 +50,43 @@ def serial_results(specs):
 
 
 class TestParallelDeterminism:
-    @pytest.mark.parametrize("jobs", [1, 4])
-    def test_thread_pool_matches_serial(self, specs, serial_results, jobs):
-        results = SweepExecutor(jobs=jobs, backend="thread").run(specs)
+    def test_process_pool_matches_serial(self, specs, serial_results):
+        results = SweepExecutor(jobs=4).run(specs)
         assert serialize(results) == serialize(serial_results)
 
-    def test_process_pool_matches_serial(self, specs, serial_results):
-        results = SweepExecutor(jobs=4, backend="process").run(specs)
-        assert serialize(results) == serialize(serial_results)
+    def test_pooled_vector_sweep_fuses_in_the_coordinator(self,
+                                                          monkeypatch):
+        """jobs=2 replays fig. 12's whole vector grid in this process:
+        every spec is grid-replayed and no worker pool is built."""
+        specs = grid_specs_for(iterations=30, grid="fig12")
+        serial = SweepExecutor(jobs=1, engine="vector").run(specs)
+
+        def refuse(pool, workers):
+            raise AssertionError("a fully fused sweep built a worker pool")
+
+        monkeypatch.setattr(WorkerPool, "get", refuse)
+        executor = SweepExecutor(jobs=2, engine="vector")
+        pooled = executor.run(specs)
+        assert executor.last.grid_specs == executor.last.total == len(specs)
+        assert serialize(pooled) == serialize(serial)
+
+    def test_pooled_sweep_under_a_fault_plan_sends_every_spec(self):
+        """A fault must meet its spec in a worker, so a pooled sweep
+        under a plan replays no grid (and reports none)."""
+        specs = grid_specs_for(iterations=2, grid="fig12")
+        serial = SweepExecutor(jobs=1, engine="vector").run(specs)
+        plan = faults.FaultPlan(faults=(faults.Fault.for_spec(
+            specs[5], kind=faults.KIND_FAIL, attempts=(1,)),))
+        executor = SweepExecutor(
+            jobs=2, engine="vector",
+            retry=RetryPolicy(retries=1, backoff_s=0.0))
+        with faults.inject(plan):
+            pooled = executor.run(specs)
+        assert executor.last.grid_specs == 0
+        # The fault keys on (workload, size, mode, iteration), which
+        # the grid's six thread points share: each fails once.
+        assert executor.last.retries == 6
+        assert serialize(pooled) == serialize(serial)
 
     def test_matches_experiment_runner(self):
         """The executor is bit-identical to the classic Experiment."""
@@ -329,8 +363,12 @@ class TestGrouping:
             assert comparison.baseline().mode is TransferMode.STANDARD
 
     def test_executor_rejects_bad_backend(self):
-        with pytest.raises(ValueError, match="backend"):
-            SweepExecutor(backend="fork-bomb")
+        # Pooled sweeps have one worker kind; no option selects another.
+        for backend in ("thread", "process"):
+            with pytest.raises(TypeError, match="backend"):
+                SweepExecutor(backend=backend)
+        with pytest.raises(TypeError):
+            WorkerPool("thread")
 
 
 class TestWarmCacheCounters:

@@ -477,7 +477,7 @@ class TestIsolate:
             faults.Fault.for_spec(spec, kind=faults.KIND_CRASH,
                                   attempts=()),)))
         executor = SweepExecutor(
-            jobs=1, backend="process", isolate=True,
+            jobs=1, isolate=True,
             retry=RetryPolicy(retries=0, backoff_s=0.0, max_crashes=2))
         outcome = executor.run_outcomes([spec], strict=False)
         assert outcome.outcomes[0].status is SpecStatus.FAILED
@@ -491,11 +491,11 @@ class TestWorkerPool:
     @staticmethod
     def isolated(pool, **retry):
         return SweepExecutor(
-            jobs=1, backend="process", isolate=True, pool=pool,
+            jobs=1, isolate=True, pool=pool,
             retry=RetryPolicy(retries=0, backoff_s=0.0, **retry))
 
     def test_sweeps_reuse_one_pool(self):
-        pool = WorkerPool("process")
+        pool = WorkerPool()
         try:
             pids = []
             for iteration in range(3):
@@ -511,7 +511,7 @@ class TestWorkerPool:
 
     def test_one_crash_replaces_the_pool_once(self):
         poison = spec_for(1)
-        pool = WorkerPool("process")
+        pool = WorkerPool()
         try:
             self.isolated(pool).run_outcomes([spec_for(0)])
             assert pool.spawns == 1
@@ -531,13 +531,8 @@ class TestWorkerPool:
             pool.close()
 
     def test_closed_pool_hands_out_nothing(self):
-        pool = WorkerPool("thread")
+        pool = WorkerPool()
         pool.get(1)
         pool.close()
         with pytest.raises(RuntimeError, match="closed"):
             pool.get(1)
-
-    def test_pool_must_match_the_executor_backend(self):
-        with pytest.raises(ValueError, match="thread worker pool"):
-            SweepExecutor(jobs=1, backend="process",
-                          pool=WorkerPool("thread"))

@@ -4,7 +4,7 @@ journal/resume, interruption, and the end-to-end chaos acceptance run.
 Everything here is deterministic: faults come from a declarative
 :class:`~repro.harness.faults.FaultPlan` keyed on spec coordinates and
 attempt numbers, and retry jitter is seeded from each spec's own seed
-stream — so the battery replays bit-identically on every backend.
+stream — so the battery replays bit-identically serial or pooled.
 """
 
 import json
@@ -80,11 +80,11 @@ class TestIsolation:
         assert serialize(survivors) == serialize(expected)
 
     @pytest.mark.parametrize("jobs", [1, 4])
-    def test_thread_backend_propagates_worker_exception_detail(
-            self, specs, jobs):
-        """Satellite (d): the worker's exception reaches the outcome."""
+    def test_worker_exception_detail_reaches_the_outcome(self, specs, jobs):
+        """The worker's exception, traceback included, reaches the
+        outcome, serial or pooled."""
         plan = faults.FaultPlan(faults=(fail_fault(specs[0]),))
-        executor = SweepExecutor(jobs=jobs, backend="thread", retry=FAST)
+        executor = SweepExecutor(jobs=jobs, retry=FAST)
         with faults.inject(plan):
             outcome = executor.run_outcomes(specs[:5])
         failed = outcome.outcomes[0]
@@ -202,7 +202,7 @@ class TestStrict:
 
 
 # ----------------------------------------------------------------------
-# Timeouts and worker crashes (process backend)
+# Timeouts and worker crashes (pooled sweeps)
 # ----------------------------------------------------------------------
 class TestProcessBackendChaos:
     def test_hung_worker_is_killed_and_retried(self, specs, clean_results):
@@ -210,7 +210,7 @@ class TestProcessBackendChaos:
             faults.Fault.for_spec(specs[1], kind=faults.KIND_HANG,
                                   attempts=(1,), hang_s=30.0),))
         executor = SweepExecutor(
-            jobs=2, backend="process",
+            jobs=2,
             retry=RetryPolicy(retries=1, backoff_s=0.0, timeout_s=1.0))
         with faults.inject(plan):
             outcome = executor.run_outcomes(specs[:4])
@@ -223,7 +223,7 @@ class TestProcessBackendChaos:
             faults.Fault.for_spec(specs[1], kind=faults.KIND_HANG,
                                   attempts=(), hang_s=30.0),))
         executor = SweepExecutor(
-            jobs=2, backend="process",
+            jobs=2,
             retry=RetryPolicy(retries=0, backoff_s=0.0, timeout_s=1.0))
         with faults.inject(plan):
             outcome = executor.run_outcomes(specs[:4])
@@ -240,7 +240,7 @@ class TestProcessBackendChaos:
             faults.Fault.for_spec(specs[2], kind=faults.KIND_CRASH,
                                   attempts=()),))
         executor = SweepExecutor(
-            jobs=2, backend="process",
+            jobs=2,
             retry=RetryPolicy(retries=0, backoff_s=0.0, max_crashes=2))
         with faults.inject(plan):
             outcome = executor.run_outcomes(specs[:6])
@@ -420,26 +420,22 @@ class TestOutcomeReporting:
 # ----------------------------------------------------------------------
 @pytest.mark.chaos
 class TestChaosAcceptance:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_30_spec_sweep_survives_3_failures_and_a_crash(
-            self, tmp_path, specs, clean_results, backend):
+            self, tmp_path, specs, clean_results):
         """30 specs, 3 injected permanent failures, plus 1 crashing
-        worker on the process backend (a SIGKILLed thread would take
-        the coordinator down, so the thread leg substitutes a fourth
-        permanent failure): the other 26 complete, and a --resume
-        replay is bit-identical without re-executing anything."""
+        worker: the other 26 complete, and a --resume replay is
+        bit-identical without re-executing anything."""
         assert len(specs) == 30
         doomed = (4, 13, 22)
         crasher = 8
-        crash_kind = (faults.KIND_CRASH if backend == "process"
-                      else faults.KIND_FAIL)
         plan = faults.FaultPlan(faults=tuple(
             [fail_fault(specs[i]) for i in doomed]
-            + [faults.Fault.for_spec(specs[crasher], kind=crash_kind,
+            + [faults.Fault.for_spec(specs[crasher],
+                                     kind=faults.KIND_CRASH,
                                      attempts=())]))
         cache = ResultCache(tmp_path / "cache")
         executor = SweepExecutor(
-            jobs=2, backend=backend, cache=cache,
+            jobs=2, cache=cache,
             journal=SweepJournal.beside(cache.root),
             retry=RetryPolicy(retries=1, backoff_s=0.0, max_crashes=2))
         with faults.inject(plan):
@@ -450,9 +446,8 @@ class TestChaosAcceptance:
         assert counts["failed"] == 4  # 3 injected + the crasher
         for index in doomed:
             assert outcome.outcomes[index].attempts == 2  # retried once
-        if backend == "process":
-            assert "poison" in outcome.outcomes[crasher].error
-            assert executor.last.crashes >= 2
+        assert "poison" in outcome.outcomes[crasher].error
+        assert executor.last.crashes >= 2
         survivors = [r for i, r in enumerate(outcome.results)
                      if i not in (*doomed, crasher)]
         expected = [r for i, r in enumerate(clean_results)
@@ -462,7 +457,7 @@ class TestChaosAcceptance:
         # --resume: journaled failures are skipped, the 26 completed
         # cells replay from cache, results bit-identical, 0 executed.
         resumed = SweepExecutor(
-            jobs=2, backend=backend, cache=ResultCache(cache.root),
+            jobs=2, cache=ResultCache(cache.root),
             journal=SweepJournal.beside(cache.root), resume=True)
         with faults.inject(plan):
             replay = resumed.run_outcomes(specs)

@@ -50,7 +50,7 @@ def response_records(payload):
 async def live_service(cache_dir, **overrides):
     """A started service on an ephemeral port; drained on exit."""
     settings = dict(port=0, cache_dir=cache_dir / "svc-cache",
-                    backend="thread", jobs=2, slots=2, batch_size=4,
+                    jobs=2, slots=2, batch_size=4,
                     retries=0, timeout_s=None, hot_capacity=256)
     settings.update(overrides)
     service = ReproService(ServiceConfig(**settings))

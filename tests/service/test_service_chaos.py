@@ -69,8 +69,7 @@ def launch(cache_dir, *, resume=False, fault_plan=None):
     if fault_plan is not None:
         env["REPRO_FAULT_PLAN"] = fault_plan.to_json()
     argv = [sys.executable, "-m", "repro", "serve", "--port", "0",
-            "--cache-dir", str(cache_dir), "--backend", "process",
-            "--jobs", "1", "--slots", "1", "--batch-size", "4",
+            "--cache-dir", str(cache_dir), "--jobs", "1", "--slots", "1", "--batch-size", "4",
             "--retries", "1", "--timeout", "2", "--deadline", "120",
             "--drain-grace", "60"]
     if resume:

@@ -9,6 +9,8 @@ containment, breaker fallback, and drain/resume checkpointing.
 
 import asyncio
 
+import pytest
+
 from repro.harness import faults
 from repro.service import (AdmissionLimits, ReproService, ServiceConfig,
                            resume_pending)
@@ -22,6 +24,19 @@ def plan_for(specs, kind, attempts=(), **kwargs):
     return faults.FaultPlan(faults=tuple(
         faults.Fault.for_spec(spec, kind=kind, attempts=attempts,
                               **kwargs) for spec in specs))
+
+
+def test_retired_engine_rejected_at_config():
+    with pytest.raises(ValueError, match="unknown engine 'fast'"):
+        ServiceConfig(engine="fast")
+
+
+def test_config_selects_no_pool_kind():
+    # Every batch runs on its slot's worker processes: no backend and
+    # no fabric hand-off to choose.
+    for knob in ({"backend": "process"}, {"fabric_workers": 2}):
+        with pytest.raises(TypeError):
+            ServiceConfig(**knob)
 
 
 # ----------------------------------------------------------------------
@@ -318,8 +333,8 @@ class TestContainment:
 
     def test_crashing_spec_is_quarantined_not_fatal(self, tmp_path):
         async def scenario():
-            async with live_service(tmp_path, backend="process",
-                                    jobs=1, slots=1, timeout_s=10.0,
+            async with live_service(tmp_path, jobs=1, slots=1,
+                                    timeout_s=10.0,
                                     batch_size=8) as service:
                 specs = grid_specs()
                 faults.install(faults.FaultPlan(faults=(
@@ -420,7 +435,7 @@ class TestDrainResume:
 
         async def interrupted():
             service = ReproService(ServiceConfig(
-                port=0, cache_dir=cache_dir, backend="thread", jobs=1,
+                port=0, cache_dir=cache_dir, jobs=1,
                 slots=1, batch_size=2, retries=0, timeout_s=None))
             await service.start()
             specs = grid_specs(self.GRID6)
@@ -445,7 +460,7 @@ class TestDrainResume:
 
         async def restarted():
             service = ReproService(ServiceConfig(
-                port=0, cache_dir=cache_dir, backend="thread", jobs=1,
+                port=0, cache_dir=cache_dir, jobs=1,
                 slots=1, batch_size=2, retries=0, timeout_s=None))
             await service.start()
             try:
@@ -473,8 +488,7 @@ class TestDrainResume:
     def test_draining_server_refuses_new_sweeps(self, tmp_path):
         async def scenario():
             service = ReproService(ServiceConfig(
-                port=0, cache_dir=tmp_path / "svc-cache",
-                backend="thread", jobs=1))
+                port=0, cache_dir=tmp_path / "svc-cache", jobs=1))
             await service.start()
             try:
                 await drain_service(service)

@@ -1,6 +1,6 @@
 """Long-lived worker pools: one per scheduler slot, reused across batches.
 
-A live service on the process backend with one slot, so every batch
+A live service with one slot, so every batch
 runs on the same :class:`~repro.harness.executor.WorkerPool`. The
 assertions count pool spawns and crash credits, never elapsed time.
 """
@@ -25,8 +25,8 @@ def small_grid(base_seed):
 
 
 def one_slot(tmp_path):
-    return live_service(tmp_path, backend="process", jobs=1, slots=1,
-                        batch_size=8, timeout_s=30.0)
+    return live_service(tmp_path, jobs=1, slots=1, batch_size=8,
+                        timeout_s=30.0)
 
 
 async def wait_until(predicate, limit_s=30.0):

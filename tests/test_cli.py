@@ -180,6 +180,18 @@ class TestSweep:
         assert excinfo.value.code == 2
         assert "invalid choice: 'fast'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["figure", "6", "--backend", "thread"],
+        ["sweep", "saxpy", "--sizes", "tiny", "--backend", "process"],
+        ["serve", "--backend", "process"],
+        ["serve", "--fabric-workers", "2"],
+    ], ids=["figure", "sweep", "serve", "serve-fabric-workers"])
+    def test_pool_kind_options_are_argparse_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_sweep_vector_engine_matches_reference(self, capsys):
         """--engine vector renders the exact same table and reports
         its grid-batching accounting in the summary."""
@@ -401,9 +413,10 @@ class TestResilienceFlags:
             raise KeyboardInterrupt
 
         monkeypatch.setattr(executor_module, "_execute_entry", interrupt)
-        # The vector engine serves fig. 6 from its grid replay; only
-        # the per-spec path reaches the patched choke point.
-        code = main([*self.FIG6, "--engine", "reference"])
+        # The vector engine serves fig. 6 from its grid replay, and
+        # pool workers never see this process's patch: only the serial
+        # per-spec path reaches the patched choke point.
+        code = main([*self.FIG6, "--engine", "reference", "--jobs", "1"])
         err = capsys.readouterr().err
         assert code == 130
         assert "--resume" in err  # points at the recovery path
