@@ -49,6 +49,7 @@ import time
 import traceback as traceback_module
 from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
                                 ProcessPoolExecutor)
+from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -687,6 +688,29 @@ def _execute_entry(entry: Tuple) -> RunResult:
     )
 
 
+def _grid_entry(entry: Tuple) -> Tuple:
+    """Module-level grid replay task for an isolated sweep's worker.
+
+    ``entry`` is ``(specs, system, calib, engine)``.  Runs
+    :meth:`SweepExecutor._precompute_grid` in the worker, against its
+    own program and phase memos, and returns ``(rows, groups, fused,
+    rerouted, rules)``: the replayed results in spec order (``None``
+    for rows the grid leaves) and the tallies the coordinator's
+    ``[sweep]`` summary reports.
+    """
+    specs, system, calib, engine = entry
+    from ..sim.phasecache import phase_memo_for
+    executor = SweepExecutor(jobs=1, system=system, calib=calib,
+                             engine=engine)
+    executor._phase_memo = phase_memo_for(system or default_system(),
+                                          calib or default_calibration())
+    executor._precompute_grid(specs)
+    grid = executor._grid
+    return ([grid.get(spec) for spec in specs], executor._grid_groups,
+            executor._families_fused, executor._families_rerouted,
+            executor._reroute_rules)
+
+
 @dataclass
 class SweepStats:
     """Accounting for the most recent :meth:`SweepExecutor.run`."""
@@ -800,6 +824,9 @@ class SweepExecutor:
       :class:`ProcessPoolExecutor` (specs travel pickled, which
       RunSpecs are). An analytic engine first replays the whole grid
       in this process; workers get only the specs it leaves.
+    * ``isolate=True`` runs every spec in a pool worker: the grid
+      replay goes to a worker as one task, and the specs it leaves
+      follow one task each.
 
     Results always come back in spec order regardless of completion
     order, so downstream grouping never depends on scheduling.
@@ -827,7 +854,8 @@ class SweepExecutor:
                  strict: bool = False,
                  engine: str = "reference",
                  isolate: bool = False,
-                 pool: Optional["WorkerPool"] = None):
+                 pool: Optional["WorkerPool"] = None,
+                 env_fingerprint: Optional[str] = None):
         engine_spec(engine)  # unknown names raise the canonical error
         if jobs is None:
             jobs = default_jobs()
@@ -846,17 +874,21 @@ class SweepExecutor:
         self.strict = strict
         self.engine = engine
         # ``isolate`` forces the pool path even for a single pending
-        # spec, and skips the grid replay, so every spec runs in a pool
-        # worker: a crash fault (SIGKILL) can never take down the
-        # coordinating process — the containment contract a long-lived
-        # server (repro.service) needs for every batch it dispatches.
+        # spec, and runs the grid replay as a task on a pool worker, so
+        # no simulation runs in this process: a crash fault (SIGKILL)
+        # can never take down the coordinating process — the
+        # containment contract a long-lived server (repro.service)
+        # needs for every batch it dispatches.
         self.isolate = isolate
         # A caller-owned pool outlives this executor (one per service
         # slot); without one, each pooled sweep builds and closes its own.
         self.pool = pool
         self.last = SweepStats()
         self.last_outcome: Optional[SweepOutcome] = None
-        self._env_fp: Optional[str] = None
+        # A caller that already holds ``environment_fingerprint(system,
+        # calib)`` (the service, per batch) hands it in; keys are the
+        # same either way.
+        self._env_fp: Optional[str] = env_fingerprint
         # RunSpecs are frozen/hashable and the environment is fixed
         # per executor, so keys memoize safely; warm replays of the
         # same grid then skip re-canonicalizing every spec.
@@ -867,7 +899,7 @@ class SweepExecutor:
         self._phase_memo = None
         self._memo_before = (0, 0)
         # Grid-precomputed results for the sweep in flight (analytic
-        # engine, not isolated): spec -> RunResult.
+        # engine): spec -> RunResult.
         self._grid: Dict[RunSpec, RunResult] = {}
         self._grid_groups = 0
         self._families_fused = 0
@@ -1035,6 +1067,9 @@ class SweepExecutor:
         else:
             keys = [None] * total
 
+        # The workers of this sweep: the caller's live pool, else a
+        # private one (started only if a task needs it).
+        pools = self.pool if self.pool is not None else WorkerPool()
         restore = self._install_sigterm_handler()
         try:
             # Resume pass: skip specs the journal marks permanently
@@ -1069,9 +1104,8 @@ class SweepExecutor:
             pending = [(index, spec, keys[index])
                        for index, spec in enumerate(specs)
                        if outcomes[index] is None]
-            if (pending and engine_spec(self.engine).analytic
-                    and not self.isolate
-                    and (self.jobs == 1 or faults.active_plan() is None)):
+            plan = faults.active_plan()
+            if pending and engine_spec(self.engine).analytic:
                 # Grid-level batching *before* spec fan-out: compile
                 # each distinct program structure once, batch-warm the
                 # phase memo across every group in one array program,
@@ -1079,8 +1113,13 @@ class SweepExecutor:
                 # workers then get only what the grid leaves.  Under a
                 # fault plan every spec must reach a worker to meet its
                 # faults, so a pooled sweep would discard the grid.
-                self._precompute_grid([spec for _, spec, _ in pending])
-            if pending and self._grid and faults.active_plan() is None:
+                # An isolated sweep replays the grid on a worker.
+                grid_specs = [spec for _, spec, _ in pending]
+                if not self.isolate and (self.jobs == 1 or plan is None):
+                    self._precompute_grid(grid_specs)
+                elif self.isolate and plan is None:
+                    self._grid_in_worker(pools, grid_specs)
+            if pending and self._grid and plan is None:
                 # Bulk-settle: with no fault plan installed, a grid hit
                 # cannot raise inside ``_execute_local``, so the
                 # per-spec retry loop is pure overhead for precomputed
@@ -1122,7 +1161,7 @@ class SweepExecutor:
                 pending = remaining
             if pending:
                 if self.isolate or (self.jobs > 1 and len(pending) > 1):
-                    self._run_pool(pending, outcomes, total, strict)
+                    self._run_pool(pending, outcomes, total, strict, pools)
                 else:
                     self._run_serial(pending, outcomes, total, strict)
         except SweepFailure as failure:
@@ -1138,6 +1177,8 @@ class SweepExecutor:
                     signal.signal(signal.SIGTERM, restore)
                 except (ValueError, OSError):  # pragma: no cover
                     pass
+            if pools is not self.pool:
+                pools.close()
         return self._finalize(specs, outcomes, started, "not scheduled")
 
     def run_dag(self, dag, strict: Optional[bool] = None) -> SweepOutcome:
@@ -1342,7 +1383,7 @@ class SweepExecutor:
             return None
 
     # ------------------------------------------------------------------
-    # Whole-grid precompute (analytic engine, in the coordinator)
+    # Whole-grid precompute (analytic engine; on a worker when isolated)
     # ------------------------------------------------------------------
     def _precompute_grid(self, specs: Sequence[RunSpec]) -> None:
         """Compile each program structure once and replay every spec.
@@ -1442,6 +1483,40 @@ class SweepExecutor:
             # per-spec path recomputes anything missing or partial.
             self._grid.clear()
             self._grid_groups = 0
+
+    def _grid_in_worker(self, pools: "WorkerPool",
+                        specs: List[RunSpec]) -> None:
+        """:meth:`_precompute_grid` as one task on a pool worker.
+
+        Fills ``self._grid`` and the family tallies from the worker's
+        replay (:func:`_grid_entry`).  A task that breaks the pool or
+        outlives ``retry.timeout_s`` discards the pool and leaves the
+        grid empty, so every spec takes the per-spec path; the task is
+        no one spec's, so none is credited with the crash.
+        """
+        try:
+            future = pools.get(self.jobs).submit(
+                _grid_entry, (specs, self.system, self.calib, self.engine))
+            pools.tasks += 1
+            rows, groups, fused, rerouted, rules = future.result(
+                timeout=self.retry.timeout_s)
+        except (BrokenExecutor, FuturesTimeout):
+            pools.discard()
+            return
+        except Exception:  # pragma: no cover - defensive, as in-process
+            return
+        except BaseException:
+            pools.discard()
+            raise
+        grid = self._grid
+        for spec, run in zip(specs, rows):
+            if run is not None:
+                grid[spec] = run
+        self._grid_groups += groups
+        self._families_fused += fused
+        self._families_rerouted += rerouted
+        for rule, count in rules.items():
+            self._count_reroute(rule, count)
 
     def _count_reroute(self, rule: str, count: int = 1) -> None:
         self._reroute_rules[rule] = self._reroute_rules.get(rule, 0) + count
@@ -1646,7 +1721,7 @@ class SweepExecutor:
     # ------------------------------------------------------------------
     def _run_pool(self, pending: List[Tuple[int, RunSpec, Optional[str]]],
                   outcomes: List[Optional[SpecOutcome]], total: int,
-                  strict: bool) -> None:
+                  strict: bool, pools: "WorkerPool") -> None:
         """submit()/wait() loop with per-spec isolation.
 
         Unlike the old ``pool.map``, every spec gets its own future, so
@@ -1672,7 +1747,6 @@ class SweepExecutor:
             (index, spec, key, 1, 0.0) for index, spec, key in pending]
         crashes: Dict[int, int] = {}
         in_flight: Dict = {}
-        pools = self.pool if self.pool is not None else WorkerPool()
         pool = pools.get(self.jobs)
         try:
             while queue or in_flight:
@@ -1701,6 +1775,7 @@ class SweepExecutor:
                     except BrokenExecutor:
                         victims.append((index, spec, key, attempt))
                         break
+                    pools.tasks += 1
                     deadline = (now + policy.timeout_s
                                 if use_deadline else None)
                     in_flight[future] = (index, spec, key, attempt, deadline)
@@ -1779,9 +1854,6 @@ class SweepExecutor:
         except BaseException:
             pools.discard()
             raise
-        finally:
-            if pools is not self.pool:
-                pools.close()
 
     def _rebuild_after_crash(self, pools: "WorkerPool",
                              victims: List[Tuple], in_flight: Dict,
@@ -1903,11 +1975,12 @@ class WorkerPool:
     and program memos warm across sweeps. A pool is replaced only when
     a worker died — mid-spec or while idle — or after :meth:`discard`
     (a worker hung past its deadline). ``spawns`` counts the pools
-    built.
+    built, ``tasks`` the tasks executors submitted to them.
     """
 
     def __init__(self):
         self.spawns = 0
+        self.tasks = 0
         self._pool = None
         self._size = 0
         self._closed = False

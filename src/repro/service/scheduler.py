@@ -31,7 +31,7 @@ import asyncio
 import logging
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Set
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from ..harness.resilience import SpecOutcome, SpecStatus, SweepOutcome
 
@@ -158,6 +158,7 @@ class SchedulerStats:
 
 ExecuteBatch = Callable[[List, str], SweepOutcome]
 SettleHook = Callable[[SpecJob, SpecOutcome], None]
+SettleManyHook = Callable[[List[Tuple[SpecJob, SpecOutcome]]], None]
 
 
 class FairShareScheduler:
@@ -167,12 +168,20 @@ class FairShareScheduler:
     sweep executor; it runs in a thread pool of ``slots`` workers, so
     at most ``slots`` batches execute concurrently. Everything else —
     submit, batch assembly, settlement — happens on the event loop.
+
+    Hooks: ``on_settle(job, outcome)`` fires once per settled job, in
+    settle order; ``on_settle_many(pairs)`` then fires once per
+    executed batch, and once per abandoned job, with all of its
+    ``(job, outcome)`` pairs, before any waiter on those jobs resumes.
+    Drained jobs reach only ``on_settle``: their journal stays
+    ``pending``.
     """
 
     def __init__(self, execute_batch: ExecuteBatch,
                  breaker: Optional[CircuitBreaker] = None,
                  batch_size: int = 8, slots: int = 2,
-                 on_settle: Optional[SettleHook] = None):
+                 on_settle: Optional[SettleHook] = None,
+                 on_settle_many: Optional[SettleManyHook] = None):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if slots < 1:
@@ -182,6 +191,7 @@ class FairShareScheduler:
         self.batch_size = batch_size
         self.slots = slots
         self.on_settle = on_settle
+        self.on_settle_many = on_settle_many
         self.stats = SchedulerStats()
         self.draining = False
         self._queues: "OrderedDict[str, Deque[SpecJob]]" = OrderedDict()
@@ -196,12 +206,16 @@ class FairShareScheduler:
     # Submission / dedup
     # ------------------------------------------------------------------
     def submit(self, tenant: str, spec, key: str,
-               source: str = "request") -> "tuple[SpecJob, bool]":
+               source: str = "request",
+               pump: bool = True) -> "tuple[SpecJob, bool]":
         """Enqueue a spec (or join the identical in-flight one).
 
         Returns ``(job, created)``: ``created`` is False when the key
         deduplicated onto an execution another request already owns —
         the new tenant simply becomes one more waiter on its future.
+        ``pump=False`` leaves batch assembly to the caller's next
+        :meth:`pump`, so a request's jobs fill whole batches instead of
+        the first one leaving alone.
         """
         self.stats.submitted += 1
         job = self._inflight.get(key)
@@ -221,7 +235,8 @@ class FairShareScheduler:
             self._rotation.append(tenant)
         queue.append(job)
         self._idle.clear()
-        self.pump()
+        if pump:
+            self.pump()
         return job, True
 
     def abandon(self, job: SpecJob) -> bool:
@@ -242,9 +257,9 @@ class FairShareScheduler:
         job.queued = False
         self._inflight.pop(job.key, None)
         self.stats.cancelled += 1
-        self._settle(job, SpecOutcome(
+        self._settled([(job, self._settle(job, SpecOutcome(
             spec=job.spec, index=0, status=SpecStatus.SKIPPED,
-            error="abandoned: request deadline expired", key=job.key))
+            error="abandoned: request deadline expired", key=job.key)))])
         return True
 
     # ------------------------------------------------------------------
@@ -310,30 +325,30 @@ class FairShareScheduler:
         loop = asyncio.get_running_loop()
         specs = [job.spec for job in jobs]
         try:
-            outcome = await loop.run_in_executor(
-                None, self.execute_batch, specs, engine)
-            outcomes = list(outcome.outcomes)
-            if len(outcomes) != len(jobs):  # defensive: torn batch
-                raise RuntimeError(
-                    f"batch returned {len(outcomes)} outcomes for "
-                    f"{len(jobs)} jobs")
-        except Exception as error:
-            # Containment: a broken batch degrades its own jobs to
-            # failures; the process, the loop, and every other batch
-            # keep running.
-            self.stats.batch_errors += 1
-            logger.exception("batch of %d specs failed wholesale", len(jobs))
-            for job in jobs:
-                self.breaker.record(self._settle(job, SpecOutcome(
+            try:
+                outcome = await loop.run_in_executor(
+                    None, self.execute_batch, specs, engine)
+                outcomes = list(outcome.outcomes)
+                if len(outcomes) != len(jobs):  # defensive: torn batch
+                    raise RuntimeError(
+                        f"batch returned {len(outcomes)} outcomes for "
+                        f"{len(jobs)} jobs")
+                self.stats.executed += len(jobs)
+            except Exception as error:
+                # Containment: a broken batch degrades its own jobs to
+                # failures; the process, the loop, and every other
+                # batch keep running.
+                self.stats.batch_errors += 1
+                logger.exception("batch of %d specs failed wholesale",
+                                 len(jobs))
+                outcomes = [SpecOutcome(
                     spec=job.spec, index=0, status=SpecStatus.FAILED,
                     error=f"batch execution error: "
                           f"{type(error).__name__}: {error}",
-                    key=job.key)))
-        else:
+                    key=job.key) for job in jobs]
             for job, spec_outcome in zip(jobs, outcomes):
-                self.stats.executed += 1
-                self.breaker.record(
-                    self._settle(job, spec_outcome))
+                self.breaker.record(self._settle(job, spec_outcome))
+            self._settled(list(zip(jobs, outcomes)))
         finally:
             self._free_slots += 1
             if self.queued_jobs() == 0 and self._free_slots == self.slots:
@@ -354,6 +369,14 @@ class FairShareScheduler:
             except Exception:  # pragma: no cover - hook bugs stay local
                 logger.exception("on_settle hook failed for %s", job.key)
         return outcome
+
+    def _settled(self, pairs: List[Tuple[SpecJob, SpecOutcome]]) -> None:
+        if self.on_settle_many is not None:
+            try:
+                self.on_settle_many(pairs)
+            except Exception:  # pragma: no cover - hook bugs stay local
+                logger.exception("on_settle_many hook failed for %d "
+                                 "job(s)", len(pairs))
 
     # ------------------------------------------------------------------
     # Drain

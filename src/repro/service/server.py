@@ -126,9 +126,9 @@ class ReproService:
     concurrent batch (worker processes, so hang/crash faults are
     contained and timed out exactly as in CLI sweeps; a crash or hang
     replaces only that slot's pool). Every admitted spec is
-    journaled ``pending`` at admission and terminally on settle, giving
-    SIGTERM drains a checkpoint that ``--resume`` replays
-    bit-identically.
+    journaled ``pending`` at admission and terminally on settle — one
+    journal write per request and one per batch — giving SIGTERM
+    drains a checkpoint that ``--resume`` replays bit-identically.
     """
 
     def __init__(self, config: Optional[ServiceConfig] = None):
@@ -146,7 +146,7 @@ class ReproService:
         self.scheduler = FairShareScheduler(
             self._execute_batch, breaker=self.breaker,
             batch_size=self.config.batch_size, slots=self.config.slots,
-            on_settle=self._on_settle)
+            on_settle=self._on_settle, on_settle_many=self._journal_settled)
         self.draining = False
         self.requests = 0
         self.port: Optional[int] = None
@@ -172,13 +172,15 @@ class ReproService:
         """One scheduler batch through an isolated executor on a slot's
         long-lived worker pool.
 
-        ``isolate=True`` sends every spec, even of a one-spec batch, to
-        a pool worker, so a crashing spec SIGKILLs that worker, never
-        this server; the slot's pool is then replaced. The executor is
-        per batch (its key memo dies with it) and journals nothing
-        (the service journal is per-job, written by
-        :meth:`_on_settle`); it shares the service's disk cache so
-        results are content-addressed exactly as CLI sweeps write
+        ``isolate=True`` runs all of the batch's simulation in pool
+        workers — the vector grid replay as one task, each spec it
+        leaves as one more — so a crashing spec SIGKILLs that worker,
+        never this server; the slot's pool is then replaced. The
+        executor is per batch (its key memo dies with it; the
+        environment fingerprint is the service's) and journals nothing
+        (the service journal is written by :meth:`_handle_sweep` and
+        :meth:`_journal_settled`); it shares the service's disk cache
+        so results are content-addressed exactly as CLI sweeps write
         them.
         """
         with self._pools_lock:
@@ -190,7 +192,8 @@ class ReproService:
                 jobs=self.config.jobs, cache=self.disk_cache,
                 retry=RetryPolicy(retries=self.config.retries,
                                   timeout_s=self.config.timeout_s),
-                engine=engine, isolate=True, pool=pool)
+                engine=engine, isolate=True, pool=pool,
+                env_fingerprint=self._env_fp)
             return executor.run_outcomes(specs, strict=False)
         finally:
             if pool is not None:
@@ -214,15 +217,22 @@ class ReproService:
             pool.close()
 
     def _on_settle(self, job: SpecJob, outcome) -> None:
-        """Scheduler settle hook: hot-cache fill + terminal journal."""
+        """Scheduler per-job settle hook: hot-cache fill."""
         if outcome.ok and outcome.result is not None:
             self.hot.put(job.key, outcome.result, family=job.spec.family)
-        if job.drained:
-            # A drained job's ``pending`` record *is* the checkpoint
-            # --resume replays; writing a terminal line would erase it.
-            return
-        self.journal.record(job.key, outcome.status, spec=job.spec,
-                            attempts=outcome.attempts, error=outcome.error)
+
+    def _journal_settled(self, settled: List[Tuple[SpecJob, object]]
+                         ) -> None:
+        """Scheduler settlement hook: the terminal journal lines of a
+        batch (or an abandoned job) in one durable append, written
+        before any request waiting on those jobs responds.
+
+        Drained jobs never reach it: their ``pending`` record *is* the
+        checkpoint ``--resume`` replays.
+        """
+        self.journal.record_many([
+            (job.key, outcome.status, job.spec, outcome.attempts,
+             outcome.error) for job, outcome in settled])
 
     def _keys_for(self, specs: List[RunSpec]) -> List[str]:
         """Content-addressed keys (blocking: builds programs once)."""
@@ -421,18 +431,26 @@ class ReproService:
         # the scheduler (dedup'ing onto identical in-flight jobs). No
         # awaits in this loop, so the drain cannot interleave.
         slots: List[Tuple[str, object, str, RunSpec]] = []
+        created_jobs = []
         for spec, key in zip(specs, keys):
             run = self.hot.get(key)
             if run is not None:
                 self.admission.spec_settled(tenant)
                 slots.append(("hot", run, key, spec))
                 continue
-            job, created = self.scheduler.submit(tenant, spec, key)
+            job, created = self.scheduler.submit(tenant, spec, key,
+                                                 pump=False)
             job.future.add_done_callback(
                 functools.partial(self._spec_settled, tenant))
             if created:
-                self.journal.record(key, PENDING_STATUS, spec=spec)
+                created_jobs.append((key, PENDING_STATUS, spec))
             slots.append(("job", job, key, spec))
+        # One durable append for the request, then batch assembly, both
+        # before the first await: no batch starts ahead of its jobs'
+        # ``pending`` lines, and the request fills whole batches.
+        if created_jobs:
+            self.journal.record_many(created_jobs)
+            self.scheduler.pump()
 
         futures = {job.future for kind, job, _, _ in slots
                    if kind == "job"}
@@ -571,6 +589,7 @@ class ReproService:
             "worker_pools": {
                 "slots": len(self.worker_pools),
                 "spawns": sum(pool.spawns for pool in self.worker_pools),
+                "tasks": sum(pool.tasks for pool in self.worker_pools),
             },
             "hot_cache": {
                 "entries": len(self.hot),

@@ -18,8 +18,10 @@ from pathlib import Path
 import pytest
 
 from repro.core.configs import ALL_MODES, TransferMode
-from repro.harness.executor import (RunSpec, cache_key, canonical,
-                                    fingerprint)
+from repro.harness import executor as executor_module
+from repro.harness.executor import (ResultCache, RunSpec, SweepExecutor,
+                                    cache_key, canonical,
+                                    environment_fingerprint, fingerprint)
 from repro.sim.hardware import default_system
 
 try:
@@ -184,3 +186,25 @@ class TestCrossProcessStability:
         b = json.dumps(canonical(dataclasses.replace(spec)),
                        sort_keys=True)
         assert a == b
+
+
+class TestHandedEnvironmentFingerprint:
+    def test_handed_fingerprint_keys_are_byte_identical(self, tmp_path,
+                                                        monkeypatch):
+        """An executor given the environment fingerprint (the service
+        hands its own to every batch) never recomputes it, and keys
+        exactly as one that computes it."""
+        specs = [make_spec(iteration=n) for n in range(3)] + [
+            make_spec(workload="saxpy", mode=TransferMode.UVM)]
+        expected = [cache_key(spec) for spec in specs]
+        env = environment_fingerprint()
+
+        def recomputed(*args, **kwargs):
+            raise AssertionError("environment fingerprint recomputed")
+
+        monkeypatch.setattr(executor_module, "environment_fingerprint",
+                            recomputed)
+        executor = SweepExecutor(jobs=1, cache=ResultCache(tmp_path),
+                                 env_fingerprint=env)
+        assert executor.run_outcomes(specs).complete
+        assert [executor.key_for(spec) for spec in specs] == expected

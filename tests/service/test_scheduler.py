@@ -272,6 +272,43 @@ class TestContainment:
         asyncio.run(scenario())
 
 
+class TestSettleHooks:
+    def test_each_settlement_reaches_both_hooks_in_order(self):
+        async def scenario():
+            events = []
+            scheduler = FairShareScheduler(
+                ok_batch, batch_size=2, slots=1,
+                on_settle=lambda job, outcome: events.append(job.key),
+                on_settle_many=lambda pairs: events.append(
+                    [job.key for job, _ in pairs]))
+            for n in range(3):
+                scheduler.submit("alice", f"s{n}", f"key-{n}", pump=False)
+            assert scheduler.queued_jobs() == 3  # no batch until the pump
+            scheduler.pump()
+            assert await scheduler.wait_idle(timeout=5)
+            return events
+
+        assert asyncio.run(scenario()) == [
+            "key-0", "key-1", ["key-0", "key-1"], "key-2", ["key-2"]]
+
+    def test_abandon_settles_as_a_group_and_drain_does_not(self):
+        async def scenario():
+            groups = []
+            scheduler = FairShareScheduler(
+                ok_batch, batch_size=1, slots=1,
+                on_settle_many=lambda pairs: groups.append(
+                    [(job.key, job.drained) for job, _ in pairs]))
+            scheduler.draining = True  # queue without dispatching
+            abandoned, _ = scheduler.submit("alice", "s0", "key-0")
+            scheduler.submit("alice", "s1", "key-1")
+            scheduler.submit("alice", "s2", "key-2")
+            assert scheduler.abandon(abandoned)
+            await scheduler.drain(grace_s=1)
+            return groups
+
+        assert asyncio.run(scenario()) == [[("key-0", False)]]
+
+
 class TestDrain:
     def test_drain_flushes_queued_and_waits_for_running(self):
         async def scenario():

@@ -63,7 +63,8 @@ class TestReuse:
 
         payloads, pids, spawns, stats = asyncio.run(scenario())
         assert spawns == 1
-        assert stats == {"slots": 1, "spawns": 1}
+        # one batch per request, one grid task per batch
+        assert stats == {"slots": 1, "spawns": 1, "tasks": 3}
         assert len(pids) == 1  # jobs=1: one worker served all three
         for seed, payload in zip((11, 12, 13), payloads):
             assert response_records(payload) == serial_records(
