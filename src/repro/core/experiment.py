@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -30,13 +30,19 @@ def _stable_token(text: str) -> int:
     return zlib.crc32(text.encode("utf-8"))
 
 
+def seed_words(base_seed: int, workload: str, size: str,
+               mode: TransferMode) -> Tuple[int, int, int, int]:
+    """The first four entropy words of :func:`run_seed`: everything
+    but the iteration, so one value for a whole sweep family."""
+    return (base_seed, _stable_token(workload), _stable_token(size),
+            _stable_token(mode.value))
+
+
 def run_seed(base_seed: int, workload: str, size: str, mode: TransferMode,
              iteration: int) -> np.random.SeedSequence:
     """The per-run seed: stable, and unique per (workload, size, mode, i)."""
     return np.random.SeedSequence(
-        [base_seed, _stable_token(workload), _stable_token(size),
-         _stable_token(mode.value), iteration]
-    )
+        [*seed_words(base_seed, workload, size, mode), iteration])
 
 
 def resolve_workload(workload: Union[str, Workload]) -> Workload:

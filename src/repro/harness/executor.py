@@ -39,6 +39,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
+import itertools
 import json
 import multiprocessing
 import operator
@@ -60,7 +61,7 @@ import numpy as np
 
 from ..core.configs import ALL_MODES, TransferMode
 from ..core.execution import engine_spec, execute_program
-from ..core.experiment import run_seed
+from ..core.experiment import run_seed, seed_words
 from ..core.results import ModeComparison, RunResult, RunSet
 from ..sim.calibration import Calibration, default_calibration
 from ..sim.hardware import SystemSpec, default_system
@@ -157,6 +158,12 @@ class RunSpec:
         return run_seed(self.base_seed, self.workload + self.seed_salt,
                         self.size, self.mode, self.iteration)
 
+    def seed_words(self) -> Tuple[int, int, int, int]:
+        """The four entropy words this spec's family shares (all of
+        :meth:`seed_sequence`'s but the iteration)."""
+        return seed_words(self.base_seed, self.workload + self.seed_salt,
+                          self.size, self.mode)
+
     def build_program(self):
         """The (immutable) device program this spec runs."""
         from ..workloads.registry import get_workload
@@ -179,6 +186,33 @@ class RunSpec:
     def family(self) -> Tuple:
         """The sweep family: every field but ``iteration``."""
         return _family_id(self)
+
+    def members(self, iterations: Iterable[int]) -> List["RunSpec"]:
+        """This spec's family at each of ``iterations``, in order.
+
+        Each member equals (and hashes equal to)
+        ``dataclasses.replace(self, iteration=i)``.  The template was
+        validated when it was built and only ``iteration`` differs, so
+        each member is a copy of its field dict, not a second
+        ``__post_init__``.
+        """
+        fields = dict(self.__dict__)
+        new = object.__new__
+        setattr_ = object.__setattr__
+        cls = type(self)
+        specs = []
+        for iteration in iterations:
+            if iteration < 0:
+                raise ValueError("iteration must be >= 0")
+            fields["iteration"] = iteration
+            spec = new(cls)
+            # Set one attribute first, so the instance keeps the class's
+            # shared-key dict (see RunResult.replayed): ~220 bytes a
+            # spec instead of ~340.
+            setattr_(spec, "workload", self.workload)
+            spec.__dict__.update(fields)
+            specs.append(spec)
+        return specs
 
 
 #: A spec's sweep family: every field but ``iteration``.
@@ -213,9 +247,8 @@ def expand_grid(workloads: Sequence[str],
             if skip_unsupported and not spec0.supported():
                 continue
             for mode in modes:
-                for iteration in range(iterations):
-                    specs.append(dataclasses.replace(
-                        spec0, mode=mode, iteration=iteration))
+                specs.extend(dataclasses.replace(spec0, mode=mode)
+                             .members(range(iterations)))
     return specs
 
 
@@ -337,6 +370,58 @@ def cache_key(spec: RunSpec,
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+#: Stands in for ``iteration`` in a family's serialized key payload.
+_ITERATION_SLOT = "\x00iteration\x00"
+
+
+def family_keys(specs: Sequence[RunSpec], env_fingerprint: str) -> List[str]:
+    """:func:`cache_key` of every spec, serialized once per family.
+
+    Specs of one family differ only in ``iteration``, so their key
+    payloads differ in one JSON field.  Each family's payload is
+    serialized once with a sentinel in that field and split there;
+    a member's key hashes ``head + str(iteration) + tail``.  A family
+    whose serialization does not split in exactly two (a field that
+    contains the sentinel) and a non-``int`` iteration fall back to
+    :func:`cache_key`.  Keys are byte-identical to :func:`cache_key`
+    (pinned by ``tests/harness/test_cache_key.py``).
+    """
+    keys: List[str] = [""] * len(specs)
+    families: Dict[Tuple, List[int]] = {}
+    family = members = None
+    for position, spec in enumerate(specs):
+        # Members are usually contiguous: hash a family once per run.
+        spec_family = _family_id(spec)
+        if spec_family != family:
+            family = spec_family
+            members = families.setdefault(family, [])
+        members.append(position)
+    sha256 = hashlib.sha256
+    for positions in families.values():
+        spec0 = specs[positions[0]]
+        template = canonical(spec0)
+        template["iteration"] = _ITERATION_SLOT
+        payload = {
+            "code": CODE_VERSION,
+            "spec": template,
+            "program": program_fingerprint(spec0),
+            "environment": env_fingerprint,
+        }
+        parts = json.dumps(payload, sort_keys=True, separators=(",", ":")
+                           ).split(json.dumps(_ITERATION_SLOT))
+        for position in positions:
+            spec = specs[position]
+            iteration = spec.iteration
+            if len(parts) == 2 and type(iteration) is int:
+                keys[position] = sha256(
+                    f"{parts[0]}{iteration}{parts[1]}".encode("utf-8")
+                ).hexdigest()
+            else:
+                keys[position] = cache_key(spec,
+                                           env_fingerprint=env_fingerprint)
+    return keys
+
+
 def environment_fingerprint(system: Optional[SystemSpec] = None,
                             calib: Optional[Calibration] = None) -> str:
     """One digest for the (hardware model, calibration) pair."""
@@ -418,15 +503,22 @@ class ResultCache:
 
     def get(self, key: str) -> Optional[RunResult]:
         entry = self._entry(key)
-        pack = data = None
+        pack = None
         try:
-            with open(entry, "rb") as stream:
-                st = os.fstat(stream.fileno())
-                stamp = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
-                memo = self._memo
-                if memo is not None and memo[0] == stamp:
-                    pack = memo[1]
-                else:
+            # Stat first: a sibling of the last pack decoded is served
+            # from its memo without opening the entry.
+            st = os.stat(entry)
+            stamp = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+            memo = self._memo
+            if memo is not None and memo[0] == stamp:
+                pack = memo[1]
+            else:
+                with open(entry, "rb") as stream:
+                    # The stamp of the file actually read (the entry
+                    # may have been replaced since the stat).
+                    st = os.fstat(stream.fileno())
+                    stamp = (st.st_dev, st.st_ino, st.st_size,
+                             st.st_mtime_ns)
                     data = stream.read()
         except OSError:
             self.stats.misses += 1
@@ -571,16 +663,14 @@ class ResultCache:
 # ----------------------------------------------------------------------
 # SeedSequence construction (entropy hashing over the five coordinate
 # words) costs ~20us — more than an entire vector-engine replay — yet
-# is a pure function of the spec's seed coordinates.  Two memo tiers:
-# the *SeedSequence objects* (building a Generator from a reused
-# sequence is deterministic — generate_state is pure), and, for the
-# axis-fused family replay, the derived PCG64 *state dicts* —
-# restoring a saved state onto one shared bit generator is ~3x cheaper
-# than constructing a fresh ``Generator(PCG64(seq))`` per spec and
-# yields the bit-identical stream.
+# is a pure function of the spec's seed coordinates.  The per-spec
+# engine path memoizes the *SeedSequence objects* (building a Generator
+# from a reused sequence is deterministic — generate_state is pure).
+# The fused family replay instead derives a whole family's PCG64 state
+# dicts at once (:func:`family_rng_states`) and restores them onto one
+# shared bit generator.
 _SEED_SEQ_MEMO: Dict[Tuple, np.random.SeedSequence] = {}
 _SEED_SEQ_MEMO_CAP = 65536
-_RNG_STATE_MEMO: Dict[Tuple, dict] = {}
 
 
 def _seed_key(spec: RunSpec) -> Tuple:
@@ -604,30 +694,107 @@ def rng_for_spec(spec: RunSpec) -> np.random.Generator:
     return np.random.default_rng(seq)
 
 
-def rng_state_for_spec(spec: RunSpec) -> dict:
-    """The PCG64 state behind :func:`rng_for_spec`'s generator.
+# numpy's SeedSequence (pool size 4) and PCG64 seeding constants.
+_MASK32 = 0xFFFFFFFF
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
-    Restoring this dict onto any PCG64 bit generator reproduces the
-    spec's stream bit-identically.  The fused family replay restores
-    it onto one *shared* generator per family instead of constructing
-    a ``Generator`` object per spec — same draws, a fraction of the
-    setup cost.  The memoized dicts are never mutated by restoration
-    (``bit_generator.state`` copies on both get and set).
+# SeedSequence's entropy pool after the four family-constant words
+# (base seed, workload, size and mode tokens) and the all-pairs mix
+# (16 hashmix calls), keyed by those words.
+_POOL_PREFIX_MEMO: Dict[Tuple, Tuple[int, ...]] = {}
+
+
+def _pool_prefix(words: Tuple[int, ...]) -> Tuple[int, ...]:
+    pool = _POOL_PREFIX_MEMO.get(words)
+    if pool is not None:
+        return pool
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> 16)
+
+    pool = [hashmix(word) for word in words]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = (_MIX_MULT_L * pool[dst]
+                         - _MIX_MULT_R * hashmix(pool[src])) & _MASK32
+                pool[dst] = mixed ^ (mixed >> 16)
+    if len(_POOL_PREFIX_MEMO) >= _SEED_SEQ_MEMO_CAP:
+        _POOL_PREFIX_MEMO.clear()
+    pool = _POOL_PREFIX_MEMO[words] = tuple(pool)
+    return pool
+
+
+def _hash_consts(init: int, mult: int, skip: int, count: int) -> np.ndarray:
+    """SeedSequence hash constants ``skip`` through ``skip + count`` as
+    a uint64 column: call ``i`` xors with row ``i`` and multiplies by
+    row ``i + 1``."""
+    consts = [init]
+    for _ in range(skip + count):
+        consts.append((consts[-1] * mult) & _MASK32)
+    return np.array(consts[skip:], dtype=np.uint64)[:, None]
+
+
+def family_rng_states(words: Sequence[int],
+                      iterations: Sequence[int]) -> List[dict]:
+    """``np.random.PCG64(SeedSequence([*words, i])).state`` for each
+    iteration ``i``, bit-exactly, in one pass over the family.
+
+    Only the fifth entropy word varies inside a family, so
+    SeedSequence's pool after the first four words is one memoized
+    constant.  The fifth word's mixing, ``generate_state(4, uint64)``
+    and PCG64's two-step seeding then run as uint64-lane array
+    arithmetic over all the iterations (the 128-bit steps on Python
+    ints).  A word outside ``[0, 2**32)``, which SeedSequence would
+    split into several words, falls back to numpy.
     """
-    key = _seed_key(spec)
-    state = _RNG_STATE_MEMO.get(key)
-    if state is None:
-        if len(_RNG_STATE_MEMO) >= _SEED_SEQ_MEMO_CAP:
-            _RNG_STATE_MEMO.clear()
-        seq = _SEED_SEQ_MEMO.get(key)
-        if seq is None:
-            if len(_SEED_SEQ_MEMO) >= _SEED_SEQ_MEMO_CAP:
-                _SEED_SEQ_MEMO.clear()
-            seq = spec.seed_sequence()
-            _SEED_SEQ_MEMO[key] = seq
-        state = np.random.PCG64(seq).state
-        _RNG_STATE_MEMO[key] = state
-    return state
+    words = tuple(words)
+    fits = len(words) == 4 and all(
+        type(word) is int and 0 <= word <= _MASK32 for word in words)
+    states: List[Optional[dict]] = [None] * len(iterations)
+    lanes = []
+    for position, iteration in enumerate(iterations):
+        if fits and type(iteration) is int and 0 <= iteration <= _MASK32:
+            lanes.append(position)
+        else:
+            states[position] = np.random.PCG64(
+                np.random.SeedSequence([*words, iteration])).state
+    if not lanes:
+        return states  # type: ignore[return-value]
+    mix = _hash_consts(_INIT_A, _MULT_A, 16, 4)  # the fifth word's hashmix
+    gen = _hash_consts(_INIT_B, _MULT_B, 0, 8)   # generate_state's words
+    pool = np.array(_pool_prefix(words), dtype=np.uint64)[:, None]
+    value = np.array([iterations[p] for p in lanes], dtype=np.uint64)
+    # Row d: pool word d mixed with hashmix(iteration), on uint32 lanes.
+    value = ((value ^ mix[:-1]) * mix[1:]) & _MASK32
+    value ^= value >> 16
+    value = (pool * _MIX_MULT_L - value * _MIX_MULT_R) & _MASK32
+    value ^= value >> 16
+    # generate_state(4, uint64): eight 32-bit words cycled off the pool.
+    value = ((value[[0, 1, 2, 3, 0, 1, 2, 3]] ^ gen[:-1]) * gen[1:]) & _MASK32
+    value ^= value >> 16
+    for position, s0, s1, s2, s3, s4, s5, s6, s7 in zip(
+            lanes, *value.tolist()):
+        seed = (s0 | s1 << 32) << 64 | s2 | s3 << 32
+        inc = (((s4 | s5 << 32) << 64 | s6 | s7 << 32) << 1 | 1) & _MASK128
+        states[position] = {
+            "bit_generator": "PCG64",
+            "state": {"state": ((inc + seed) * _PCG64_MULT + inc) & _MASK128,
+                      "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+    return states  # type: ignore[return-value]
 
 
 def execute_spec(spec: RunSpec,
@@ -918,38 +1085,24 @@ class SweepExecutor:
             self._key_memo[spec] = key
         return key
 
-    def _batch_keys(self, specs: Sequence[RunSpec]) -> None:
-        """Pre-fill the key memo for a sweep, amortizing hashing work.
+    def _batch_keys(self, specs: Sequence[RunSpec]) -> List[str]:
+        """Every spec's key in spec order, through the key memo.
 
-        Specs of one family differ only in ``iteration``, so their
-        :func:`cache_key` payloads differ in exactly one JSON field.
-        Canonicalize one template per family and substitute the
-        iteration per member instead of re-walking the spec dataclass
-        and re-fingerprinting the program for every spec.  Produces
-        byte-identical keys to :func:`cache_key` (pinned by
-        ``tests/harness/test_cache_key.py``).
+        Specs the memo lacks get their keys from :func:`family_keys`
+        (one payload serialization per family) and join the memo.
         """
         if self._env_fp is None:
             self._env_fp = environment_fingerprint(self.system, self.calib)
-        families: Dict[Tuple, List[RunSpec]] = {}
-        for spec in specs:
-            if spec in self._key_memo:
-                continue
-            families.setdefault(_family_id(spec), []).append(spec)
-        for members in families.values():
-            template = canonical(members[0])
-            payload = {
-                "code": CODE_VERSION,
-                "spec": template,
-                "program": program_fingerprint(members[0]),
-                "environment": self._env_fp,
-            }
-            for spec in members:
-                template["iteration"] = spec.iteration
-                blob = json.dumps(payload, sort_keys=True,
-                                  separators=(",", ":"))
-                self._key_memo[spec] = hashlib.sha256(
-                    blob.encode("utf-8")).hexdigest()
+        memo = self._key_memo
+        keys = ([memo.get(spec) for spec in specs] if memo
+                else [None] * len(specs))
+        missing = [position for position, key in enumerate(keys)
+                   if key is None]
+        if missing:
+            derived = family_keys([specs[p] for p in missing], self._env_fp)
+            for position, key in zip(missing, derived):
+                keys[position] = memo[specs[position]] = key
+        return keys  # type: ignore[return-value]
 
     def _tick(self, done: int, total: int, spec: RunSpec) -> None:
         if self.progress is not None:
@@ -959,15 +1112,21 @@ class SweepExecutor:
     #: to a miss (the entry is then recomputed, never served torn).
     CACHE_READ_RETRIES = 2
 
-    def _cache_get(self, spec: RunSpec, key: str) -> Optional[RunResult]:
+    def _cache_get(self, spec: RunSpec, key: str,
+                   plan: Optional[faults.FaultPlan]) -> Optional[RunResult]:
         """One cache lookup, resilient to transient read errors.
 
         A read that raises :class:`OSError` (real filesystem flake or
         an injected ``flaky_io`` fault) is retried up to
         :data:`CACHE_READ_RETRIES` times, then degrades to a miss — a
         flaky disk can cost a re-simulation but can never fail a spec
-        or surface a partial record.
+        or surface a partial record.  ``plan`` is the sweep's fault
+        plan: with none installed, no read can meet an injected fault,
+        and :meth:`ResultCache.get` already counts a real read error
+        as a miss.
         """
+        if plan is None:
+            return self.cache.get(key)
         for _ in range(self.CACHE_READ_RETRIES + 1):
             try:
                 faults.maybe_flaky_io(spec)
@@ -1017,7 +1176,9 @@ class SweepExecutor:
 
     def run_outcomes(self, specs: Sequence[RunSpec],
                      strict: Optional[bool] = None,
-                     fresh: bool = True) -> SweepOutcome:
+                     fresh: bool = True,
+                     keys: Optional[Sequence[Optional[str]]] = None
+                     ) -> SweepOutcome:
         """Execute every spec through the resilience layer.
 
         Returns a :class:`SweepOutcome` in spec order; failed,
@@ -1032,8 +1193,17 @@ class SweepExecutor:
         (no clear-on-start): :meth:`run_dag` executes one DAG layer at
         a time through this method, and all layers of one sweep share
         one checkpoint.
+
+        ``keys`` are cache keys the caller already holds, in spec order
+        (``None`` where it has none): the service derives every
+        request's keys before it batches them.  They join the key memo,
+        so only the rest are derived here.
         """
         specs = list(specs)
+        if keys is not None:
+            for spec, key in zip(specs, keys):
+                if key is not None:
+                    self._key_memo[spec] = key
         strict = self.strict if strict is None else strict
         started = time.perf_counter()
         total = len(specs)
@@ -1060,12 +1230,7 @@ class SweepExecutor:
             self._memo_before = self._phase_memo.stats()
 
         need_keys = self.cache is not None or self.journal is not None
-        if need_keys:
-            self._batch_keys(specs)  # key_for below then only memo-hits
-            keys: List[Optional[str]] = [self.key_for(spec)
-                                         for spec in specs]
-        else:
-            keys = [None] * total
+        keys = self._batch_keys(specs) if need_keys else [None] * total
 
         # The workers of this sweep: the caller's live pool, else a
         # private one (started only if a task needs it).
@@ -1088,12 +1253,14 @@ class SweepExecutor:
             elif self.journal is not None and fresh:
                 self.journal.clear()  # fresh sweep, fresh checkpoint
 
-            # Cache pass.
+            # Cache pass.  The fault plan is read once per sweep: with
+            # none installed, no read can meet an injected fault.
+            plan = faults.active_plan()
             if self.cache is not None:
                 for index, spec in enumerate(specs):
                     if outcomes[index] is not None:
                         continue
-                    hit = self._cache_get(spec, keys[index])
+                    hit = self._cache_get(spec, keys[index], plan)
                     if hit is not None:
                         self._settle(SpecOutcome(
                             spec=spec, index=index, status=SpecStatus.OK,
@@ -1104,7 +1271,6 @@ class SweepExecutor:
             pending = [(index, spec, keys[index])
                        for index, spec in enumerate(specs)
                        if outcomes[index] is None]
-            plan = faults.active_plan()
             if pending and engine_spec(self.engine).analytic:
                 # Grid-level batching *before* spec fan-out: compile
                 # each distinct program structure once, batch-warm the
@@ -1537,7 +1703,8 @@ class SweepExecutor:
         """One vectorized replay for a whole family's specs.
 
         Mirrors the scalar draw order exactly: per draw stream,
-        restore the memoized PCG64 state onto one shared generator,
+        restore its PCG64 state (derived for the whole family by
+        :func:`family_rng_states`) onto one shared generator,
         draw the host placement, then fill that stream's row of the
         standard-normal matrix (``standard_normal(n)`` is
         prefix-stable, so ``cols`` draws match the head of the scalar
@@ -1593,9 +1760,19 @@ class SweepExecutor:
         z = np.empty((len(draws), cols), dtype=np.float64)
         shared = np.random.Generator(np.random.PCG64())
         bitgen = shared.bit_generator
+        # One family_rng_states call per run of same-family draws (a
+        # family shares its seed words; a fused axis spans families).
+        states: List[dict] = []
+        for _, group in itertools.groupby(
+                (spec for spec, spills, _ in draws if cols or spills),
+                key=_family_id):
+            group = list(group)
+            states.extend(family_rng_states(
+                group[0].seed_words(), [spec.iteration for spec in group]))
+        next_state = iter(states).__next__
         for index, (spec, spills, footprint) in enumerate(draws):
             if cols or spills:
-                bitgen.state = rng_state_for_spec(spec)
+                bitgen.state = next_state()
             if spills:
                 mult[index] = place_host_data(
                     footprint, cpu, noise, shared).time_multiplier

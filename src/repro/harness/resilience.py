@@ -45,6 +45,13 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
+#: :meth:`SweepJournal.record_many` item defaults past ``(key, status)``.
+_ITEM_DEFAULTS = (None, None, None, 0, None, None)
+#: Stands in for the key and the iteration in a journal line template.
+_SLOT = "\x00slot\x00"
+#: ``json.dumps`` of one ``str``.
+_encode_str = json.encoder.encode_basestring_ascii
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.results import RunResult
     from .executor import RunSpec
@@ -436,11 +443,39 @@ class SweepJournal:
         """Append one key-record per item, in one write; returns the count.
 
         Each item is ``(key, status[, spec[, attempts[, error[,
-        extra]]]])`` — :meth:`record`'s arguments, in order.
+        extra]]]])`` — :meth:`record`'s arguments, in order.  A run of
+        items without ``error`` or ``extra`` whose specs share a sweep
+        family (``spec.family``), status and attempts is formatted from
+        one ``json.dumps`` template; every line is byte-identical to
+        ``json.dumps`` of its :meth:`_entry`.
         """
         now = time.time()
-        lines = [json.dumps(self._entry(now, *item)) + "\n"
-                 for item in items]
+        lines = []
+        family = parts = None
+        for item in items:
+            key, status, spec, attempts, error, extra = (
+                tuple(item) + _ITEM_DEFAULTS[len(item):])
+            spec_family = getattr(spec, "family", None)
+            if (spec_family is None or error or extra
+                    or type(key) is not str or type(attempts) is not int
+                    or type(spec.iteration) is not int):
+                lines.append(json.dumps(self._entry(now, *item)) + "\n")
+                continue
+            # A sweep family's OK lines differ only in key and
+            # iteration: serialize the family once, splice those two.
+            signature = (status, attempts, spec_family)
+            if signature != family:
+                family = signature
+                entry = self._entry(now, _SLOT, status, spec, attempts)
+                entry["spec"]["iteration"] = _SLOT
+                parts = json.dumps(entry).split(json.dumps(_SLOT))
+                if len(parts) != 3:
+                    parts = None
+            if parts is None:
+                lines.append(json.dumps(self._entry(now, *item)) + "\n")
+            else:
+                lines.append(f"{parts[0]}{_encode_str(key)}{parts[1]}"
+                             f"{spec.iteration}{parts[2]}\n")
         if lines:
             self._append("".join(lines))
         return len(lines)

@@ -42,13 +42,12 @@ def _sweep(points: Sequence[int], iterations: int, base_seed: int,
     for point in points:
         base = spec_for_point(point)
         for mode in modes:
-            for iteration in range(iterations):
-                specs.append(RunSpec(
-                    workload=base.workload, size=size.label, mode=mode,
-                    iteration=iteration, base_seed=base_seed,
-                    blocks=base.blocks, threads=base.threads,
-                    smem_carveout_bytes=base.smem_carveout_bytes,
-                    seed_salt=SWEEP_SEED_SALT))
+            specs.extend(RunSpec(
+                workload=base.workload, size=size.label, mode=mode,
+                base_seed=base_seed, blocks=base.blocks,
+                threads=base.threads,
+                smem_carveout_bytes=base.smem_carveout_bytes,
+                seed_salt=SWEEP_SEED_SALT).members(range(iterations)))
     results = ensure_executor(executor).run_outcomes(specs).results
     data: Dict[int, Dict[str, RunSet]] = {}
     cursor = 0

@@ -21,6 +21,9 @@ from ..sim.kernel import InstructionMix
 
 SCHEMA_VERSION = 1
 
+#: ``TransferMode.from_label`` as one dict lookup (a cache hit's hot path).
+_MODES = {mode.value: mode for mode in TransferMode}
+
 
 def _counters_to_record(counters: CounterReport) -> List[Dict]:
     """Serialize per-kernel counters (the Fig. 9/10 payload)."""
@@ -89,6 +92,11 @@ def record_to_run(record: Dict,
     ``counters``) default to empty when missing, so records written by
     older schema-1 stores still load. An explicit ``counters`` report
     (a cache pack's shared decode) replaces the record's own field.
+
+    Checks what ``RunResult.__post_init__`` would (non-negative
+    timings) and then installs the fields through
+    :meth:`RunResult.replayed`. A bad record raises ``ValueError``,
+    ``KeyError`` or ``TypeError``.
     """
     if record.get("v") != SCHEMA_VERSION:
         raise ValueError(f"unsupported record version {record.get('v')!r}")
@@ -96,19 +104,25 @@ def record_to_run(record: Dict,
         entries = record.get("counters")
         counters = (_counters_from_record(entries)
                     if entries is not None else CounterReport())
-    return RunResult(
-        workload=record["workload"],
-        mode=TransferMode.from_label(record["mode"]),
-        size=record["size"],
-        seed=record["seed"],
-        alloc_ns=record["alloc_ns"],
-        memcpy_ns=record["memcpy_ns"],
-        kernel_ns=record["kernel_ns"],
-        wall_ns=record["wall_ns"],
-        counters=counters,
-        occupancy=record.get("occupancy", 0.0),
-        gpu_busy_fraction=record.get("gpu_busy_fraction", 0.0),
-    )
+    label = record["mode"]
+    mode = _MODES[label] if label in _MODES else TransferMode.from_label(label)
+    alloc = record["alloc_ns"]
+    memcpy = record["memcpy_ns"]
+    kernel = record["kernel_ns"]
+    wall = record["wall_ns"]
+    if alloc < 0 or memcpy < 0 or kernel < 0 or wall < 0:
+        raise ValueError("negative timing in record")
+    return RunResult.replayed({
+        "workload": record["workload"],
+        "mode": mode,
+        "size": record["size"],
+        "seed": record["seed"],
+        "alloc_ns": alloc, "memcpy_ns": memcpy,
+        "kernel_ns": kernel, "wall_ns": wall,
+        "counters": counters,
+        "occupancy": record.get("occupancy", 0.0),
+        "gpu_busy_fraction": record.get("gpu_busy_fraction", 0.0),
+    })
 
 
 def runs_to_pack(items: Iterable[Tuple[str, RunResult]]) -> Dict:
@@ -152,7 +166,11 @@ class Pack:
                         for entries in payload["counters"]]
 
     def run(self, key: str) -> RunResult:
-        """The run stored under ``key`` (``KeyError`` when absent)."""
+        """The run stored under ``key`` (``KeyError`` when absent).
+
+        A bad record raises ``ValueError``/``KeyError``/``TypeError``
+        for its own key only.
+        """
         record = self.records[key]
         index = record["counters"]
         if not isinstance(index, int) or not 0 <= index < len(self.reports):

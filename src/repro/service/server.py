@@ -37,8 +37,9 @@ from typing import Dict, List, Optional, Tuple
 from ..core.configs import ALL_MODES, TransferMode
 from ..core.execution import DEFAULT_ENGINE, engine_spec
 from ..harness.executor import (ResultCache, RunSpec, SweepExecutor,
-                                WorkerPool, cache_key, default_cache_dir,
-                                environment_fingerprint, expand_grid)
+                                WorkerPool, default_cache_dir,
+                                environment_fingerprint, expand_grid,
+                                family_keys)
 from ..harness.resilience import RetryPolicy, SweepJournal, SweepOutcome
 from ..harness.store import run_to_record
 from .admission import (AdmissionController, AdmissionLimits,
@@ -176,8 +177,9 @@ class ReproService:
         workers — the vector grid replay as one task, each spec it
         leaves as one more — so a crashing spec SIGKILLs that worker,
         never this server; the slot's pool is then replaced. The
-        executor is per batch (its key memo dies with it; the
-        environment fingerprint is the service's) and journals nothing
+        executor is per batch (it starts from the keys the service
+        memo holds and the service's environment fingerprint) and
+        journals nothing
         (the service journal is written by :meth:`_handle_sweep` and
         :meth:`_journal_settled`); it shares the service's disk cache
         so results are content-addressed exactly as CLI sweeps write
@@ -194,7 +196,11 @@ class ReproService:
                                   timeout_s=self.config.timeout_s),
                 engine=engine, isolate=True, pool=pool,
                 env_fingerprint=self._env_fp)
-            return executor.run_outcomes(specs, strict=False)
+            # The keys _keys_for derived for these specs' requests (any
+            # the bounded memo has evicted since are derived again).
+            with self._key_lock:
+                keys = [self._key_memo.get(spec) for spec in specs]
+            return executor.run_outcomes(specs, strict=False, keys=keys)
         finally:
             if pool is not None:
                 with self._pools_lock:
@@ -235,21 +241,26 @@ class ReproService:
              outcome.error) for job, outcome in settled])
 
     def _keys_for(self, specs: List[RunSpec]) -> List[str]:
-        """Content-addressed keys (blocking: builds programs once)."""
+        """Content-addressed keys (blocking: builds programs once).
+
+        Keys the memo lacks are derived once per sweep family
+        (:func:`~repro.harness.executor.family_keys`).
+        """
         if self._env_fp is None:
             self._env_fp = environment_fingerprint()
         memo, capacity = self._key_memo, self.hot.capacity
-        keys = []
-        for spec in specs:
-            key = memo.get(spec)
-            if key is None:
-                key = cache_key(spec, env_fingerprint=self._env_fp)
-                with self._key_lock:
-                    while memo and len(memo) >= capacity:
-                        del memo[next(iter(memo))]
+        keys = [memo.get(spec) for spec in specs]
+        missing = [index for index, key in enumerate(keys) if key is None]
+        if missing:
+            derived = family_keys([specs[index] for index in missing],
+                                  self._env_fp)
+            with self._key_lock:
+                for index, key in zip(missing, derived):
+                    keys[index] = key
                     if capacity:
-                        memo[spec] = key
-            keys.append(key)
+                        while len(memo) >= capacity:
+                            del memo[next(iter(memo))]
+                        memo[specs[index]] = key
         return keys
 
     # ------------------------------------------------------------------

@@ -138,6 +138,26 @@ class TestOptionalFields:
         assert loaded.counters.kernels[0].kernel_name == "k0"
         assert loaded.counters.kernels[0].occupancy == 0.5
 
+    @pytest.mark.parametrize("field", ["alloc_ns", "memcpy_ns",
+                                       "kernel_ns", "wall_ns"])
+    def test_negative_timing_rejected(self, field):
+        record = run_to_record(make_run(TransferMode.UVM, "large"))
+        record[field] = -1.0
+        with pytest.raises(ValueError, match="negative timing"):
+            record_to_run(record)
+
+    def test_unknown_mode_rejected(self):
+        record = run_to_record(make_run(TransferMode.UVM, "large"))
+        record["mode"] = "nvlink"
+        with pytest.raises(ValueError, match="unknown transfer mode"):
+            record_to_run(record)
+
+    def test_decoded_run_equals_constructed_run(self):
+        run = make_run(TransferMode.ASYNC, "super")
+        loaded = record_to_run(json.loads(json.dumps(run_to_record(run))))
+        assert loaded == run
+        assert list(vars(loaded)) == list(vars(run))
+
 
 class TestQuery:
     def test_filters(self, store, comparison):

@@ -5,7 +5,9 @@ import threading
 
 import pytest
 
-from repro.harness.executor import (RunSpec, cache_key,
+from repro.core.configs import TransferMode
+from repro.harness import executor as executor_module
+from repro.harness.executor import (RunSpec, SweepExecutor, cache_key,
                                     environment_fingerprint, execute_spec)
 from repro.harness.store import run_to_record
 from repro.service import HotCache, ReproService, ServiceConfig
@@ -145,3 +147,22 @@ class TestKeyMemo:
                         for spec in specs]
         assert service._keys_for(specs) == keys
         assert len(service._key_memo) <= 8
+
+    def test_batch_executor_reuses_the_request_keys(self, tmp_path,
+                                                    monkeypatch):
+        service = ReproService(ServiceConfig(port=0, cache_dir=tmp_path))
+        specs = RunSpec("saxpy", "tiny", TransferMode.STANDARD).members(
+            range(6))
+        # Warm the disk cache, so the batch below starts no worker.
+        SweepExecutor(jobs=1, cache=service.disk_cache,
+                      engine="vector").run(specs)
+        keys = service._keys_for(specs)
+        derived = []
+        real = executor_module.family_keys
+        monkeypatch.setattr(executor_module, "family_keys",
+                            lambda batch, env: (derived.append(len(batch)),
+                                                real(batch, env))[1])
+        outcome = service._execute_batch(specs, "vector")
+        assert derived == []
+        assert [o.key for o in outcome.outcomes] == keys
+        assert all(o.from_cache for o in outcome.outcomes)
