@@ -14,8 +14,6 @@ appendix's ``run_*`` scripts, see :mod:`repro.harness.artifact`):
 * ``advise``   - configuration recommendation for a workload
 * ``interjob`` - the Sec. 6 inter-job pipeline estimate
 * ``lint``     - statically validate workload programs (exit 1 on errors)
-* ``bench``    - engine perf-trajectory snapshots (``BENCH_*.json``)
-  with a bootstrap-CI regression gate (``--check``)
 * ``serve``    - the sweep-as-a-service HTTP server (admission
   control, deadlines, graceful SIGTERM drain; see docs/SERVICE.md)
 * ``fabric``   - the distributed sweep fabric: compile a grid to a
@@ -594,38 +592,6 @@ def build_parser() -> argparse.ArgumentParser:
     artifact.add_argument("--seed", type=int, default=1234)
     artifact.add_argument("--profiling", action="store_true")
 
-    bench = sub.add_parser(
-        "bench",
-        help="measure the engine perf trajectory (BENCH_*.json "
-             "snapshots; --check gates statistically against the "
-             "latest committed baseline)")
-    bench.add_argument("--check", action="store_true",
-                       help="compare against the newest snapshot in "
-                            "--results-dir with bootstrap CIs; exit 1 "
-                            "when a leg regresses (non-overlapping CI "
-                            "and slower)")
-    bench.add_argument("--no-save", action="store_true",
-                       help="measure (and --check) without writing a "
-                            "new snapshot")
-    bench.add_argument("--repeats", type=int, default=None,
-                       help="timed cold/warm repeats per engine "
-                            "(default: 5)")
-    bench.add_argument("--iterations", type=int, default=None,
-                       help="grid iterations per (threads, mode) cell "
-                            "(default: 10)")
-    bench.add_argument("--seed", type=int, default=1234)
-    bench.add_argument("--grid", default=None,
-                       choices=("fig12", "fig11", "fig13"),
-                       help="sensitivity grid to measure: fig12 threads "
-                            "(default), fig11 blocks, fig13 carveout")
-    bench.add_argument("--engines", action="append",
-                       choices=tuple(ENGINES), default=None,
-                       help="engines to measure (repeatable; default: "
-                            "vector)")
-    bench.add_argument("--results-dir", default=None, metavar="DIR",
-                       help="trajectory directory (default: "
-                            "benchmarks/results)")
-
     serve = sub.add_parser(
         "serve",
         help="run the sweep-as-a-service HTTP server (POST /sweep; "
@@ -790,48 +756,6 @@ def _cmd_lint(args):
     return _render_lint(args, report), code
 
 
-def _cmd_bench(args):
-    from .harness import regression
-    repeats = (args.repeats if args.repeats is not None
-               else regression.DEFAULT_BENCH_REPEATS)
-    iterations = (args.iterations if args.iterations is not None
-                  else regression.DEFAULT_BENCH_ITERATIONS)
-    if repeats < 1:
-        raise SystemExit(f"--repeats must be >= 1, got {repeats}")
-    if iterations < 1:
-        raise SystemExit(f"--iterations must be >= 1, got {iterations}")
-    engines = tuple(dict.fromkeys(args.engines)) if args.engines \
-        else regression.DEFAULT_BENCH_ENGINES
-    results_dir = (Path(args.results_dir) if args.results_dir
-                   else regression.DEFAULT_RESULTS_DIR)
-    baseline_path = regression.latest_bench(results_dir) if args.check \
-        else None
-
-    grid = args.grid if args.grid is not None \
-        else regression.DEFAULT_BENCH_GRID
-    payload = regression.collect_bench(engines=engines, repeats=repeats,
-                                       iterations=iterations,
-                                       base_seed=args.seed, grid=grid)
-    pieces = [regression.render_bench(payload)]
-    code = 0
-    if args.check:
-        if baseline_path is None:
-            pieces.append(f"no baseline snapshot in {results_dir}; "
-                          "nothing to gate against (run `repro bench` "
-                          "once and commit the snapshot)")
-        else:
-            report = regression.compare_bench(
-                payload, regression.load_bench(baseline_path))
-            pieces.append(f"baseline: {baseline_path}")
-            pieces.append(report.render())
-            if not report.passed:
-                code = 1
-    if not args.no_save:
-        saved = regression.save_bench(payload, results_dir)
-        pieces.append(f"snapshot written: {saved}")
-    return "\n".join(pieces), code
-
-
 def _cmd_serve(args):
     """Run the sweep service until SIGTERM/SIGINT drains it."""
     import asyncio
@@ -887,7 +811,6 @@ def _cmd_artifact(args) -> str:
 
 COMMANDS = {
     "artifact": _cmd_artifact,
-    "bench": _cmd_bench,
     "serve": _cmd_serve,
     "lint": _cmd_lint,
     "sizesearch": _cmd_sizesearch,
@@ -905,8 +828,16 @@ COMMANDS = {
 }
 
 
+#: The parser ``main`` reuses; built on its first call.  Parsing reads
+#: it without changing it, so each call starts from the same defaults.
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         result = COMMANDS[args.command](args)
         # Handlers return either text (exit 0) or (text, exit_code):

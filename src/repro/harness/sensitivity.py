@@ -6,7 +6,7 @@ flexibly and benefits from both Async Memcpy and UVM.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.configs import ALL_MODES, TransferMode
 from ..core.results import RunSet
@@ -15,6 +15,7 @@ from .executor import RunSpec, SweepExecutor, ensure_executor
 from .report import render_table
 
 BLOCK_SWEEP = (4096, 2048, 1024, 512, 256, 128, 64, 32, 16)
+BLOCK_SWEEP_THREADS = 256
 THREAD_SWEEP = (1024, 512, 256, 128, 64, 32)
 THREAD_SWEEP_BLOCKS = 64  # "total number of cores is fixed (set as 64)"
 CARVEOUT_SWEEP_KB = (2, 4, 8, 16, 32, 64, 128)
@@ -25,10 +26,43 @@ SWEEP_SEED_SALT = ":sweep"
 
 SWEEP_WORKLOAD = "vector_seq"
 
+#: Per figure: the ``RunSpec`` field it sweeps, the paper's points and
+#: the fields it holds fixed.  Fig. 13's points are KB of carveout.
+FIGURE_SWEEPS: Dict[str, Tuple[str, Tuple[int, ...], Dict[str, int]]] = {
+    "fig11": ("blocks", BLOCK_SWEEP, {"threads": BLOCK_SWEEP_THREADS}),
+    "fig12": ("threads", THREAD_SWEEP, {"blocks": THREAD_SWEEP_BLOCKS}),
+    "fig13": ("smem_carveout_bytes", CARVEOUT_SWEEP_KB, {}),
+}
 
-def _sweep(points: Sequence[int], iterations: int, base_seed: int,
-           size: SizeClass, modes: Sequence[TransferMode],
-           spec_for_point, executor: Optional[SweepExecutor]
+
+def sweep_specs(figure: str, points: Optional[Sequence[int]] = None,
+                iterations: int = 10, base_seed: int = 1234,
+                size: SizeClass = SizeClass.LARGE,
+                modes: Sequence[TransferMode] = ALL_MODES,
+                **fixed: int) -> List[RunSpec]:
+    """Every (point, mode, iteration) spec of one sensitivity figure.
+
+    ``figure`` is a :data:`FIGURE_SWEEPS` key; ``points`` defaults to
+    the paper's, and ``fixed`` overrides the held fields.  The order is
+    point-major, then mode, then iteration: the order :func:`_sweep`
+    regroups results by.
+    """
+    axis, paper_points, held = FIGURE_SWEEPS[figure]
+    held = {**held, **fixed}
+    unit = 1024 if axis == "smem_carveout_bytes" else 1
+    specs: List[RunSpec] = []
+    for point in paper_points if points is None else points:
+        for mode in modes:
+            specs.extend(RunSpec(
+                workload=SWEEP_WORKLOAD, size=size.label, mode=mode,
+                base_seed=base_seed, seed_salt=SWEEP_SEED_SALT,
+                **held, **{axis: point * unit}).members(range(iterations)))
+    return specs
+
+
+def _sweep(figure: str, points: Sequence[int], iterations: int,
+           base_seed: int, size: SizeClass, modes: Sequence[TransferMode],
+           executor: Optional[SweepExecutor], **fixed: int
            ) -> Dict[int, Dict[str, RunSet]]:
     """Run every (point, mode, iteration) cell in one executor pass.
 
@@ -38,16 +72,8 @@ def _sweep(points: Sequence[int], iterations: int, base_seed: int,
     ``None`` at its position (never shifting later cells), producing a
     shorter (possibly empty) :class:`RunSet` for that cell.
     """
-    specs: List[RunSpec] = []
-    for point in points:
-        base = spec_for_point(point)
-        for mode in modes:
-            specs.extend(RunSpec(
-                workload=base.workload, size=size.label, mode=mode,
-                base_seed=base_seed, blocks=base.blocks,
-                threads=base.threads,
-                smem_carveout_bytes=base.smem_carveout_bytes,
-                seed_salt=SWEEP_SEED_SALT).members(range(iterations)))
+    specs = sweep_specs(figure, points, iterations, base_seed, size, modes,
+                        **fixed)
     results = ensure_executor(executor).run_outcomes(specs).results
     data: Dict[int, Dict[str, RunSet]] = {}
     cursor = 0
@@ -68,15 +94,12 @@ def blocks_sensitivity(blocks: Sequence[int] = BLOCK_SWEEP,
                        size: SizeClass = SizeClass.LARGE,
                        iterations: int = 10, base_seed: int = 1234,
                        modes: Sequence[TransferMode] = ALL_MODES,
-                       threads: int = 256,
+                       threads: int = BLOCK_SWEEP_THREADS,
                        executor: Optional[SweepExecutor] = None
                        ) -> Dict[int, Dict[str, RunSet]]:
     """Fig. 11: vary the number of blocks at fixed threads/block."""
-    return _sweep(
-        blocks, iterations, base_seed, size, modes,
-        lambda count: RunSpec(workload=SWEEP_WORKLOAD, size=size.label,
-                              mode=modes[0], blocks=count, threads=threads),
-        executor)
+    return _sweep("fig11", blocks, iterations, base_seed, size, modes,
+                  executor, threads=threads)
 
 
 def threads_sensitivity(threads: Sequence[int] = THREAD_SWEEP,
@@ -87,11 +110,8 @@ def threads_sensitivity(threads: Sequence[int] = THREAD_SWEEP,
                         executor: Optional[SweepExecutor] = None
                         ) -> Dict[int, Dict[str, RunSet]]:
     """Fig. 12: vary threads per block at a fixed 64-block grid."""
-    return _sweep(
-        threads, iterations, base_seed, size, modes,
-        lambda count: RunSpec(workload=SWEEP_WORKLOAD, size=size.label,
-                              mode=modes[0], blocks=blocks, threads=count),
-        executor)
+    return _sweep("fig12", threads, iterations, base_seed, size, modes,
+                  executor, blocks=blocks)
 
 
 def carveout_sensitivity(carveouts_kb: Sequence[int] = CARVEOUT_SWEEP_KB,
@@ -101,11 +121,8 @@ def carveout_sensitivity(carveouts_kb: Sequence[int] = CARVEOUT_SWEEP_KB,
                          executor: Optional[SweepExecutor] = None
                          ) -> Dict[int, Dict[str, RunSet]]:
     """Fig. 13: vary the shared-memory carveout (rest becomes L1)."""
-    return _sweep(
-        carveouts_kb, iterations, base_seed, size, modes,
-        lambda kb: RunSpec(workload=SWEEP_WORKLOAD, size=size.label,
-                           mode=modes[0], smem_carveout_bytes=kb * 1024),
-        executor)
+    return _sweep("fig13", carveouts_kb, iterations, base_seed, size,
+                  modes, executor)
 
 
 def normalized_sweep(data: Dict[int, Dict[str, RunSet]],

@@ -32,8 +32,7 @@ from hypothesis import strategies as st
 from repro.core.configs import TransferMode
 from repro.harness import executor as executor_module
 from repro.harness.executor import SweepExecutor, expand_grid
-# Aliased: pyproject collects `bench_*` callables as tests.
-from repro.harness.regression import bench_grid_specs as grid_specs
+from repro.harness.sensitivity import sweep_specs
 from repro.sim.hardware import default_system
 from repro.workloads.registry import get_workload
 from repro.workloads.sizes import SizeClass
@@ -113,14 +112,14 @@ class TestBattery:
 
 
 class TestFigureGrids:
-    """The exact bench grids, including both family-edge cells."""
+    """The figures' own grids, including both family-edge cells."""
 
     @pytest.mark.parametrize("grid", ("fig12", "fig11", "fig13"))
     def test_grid_bitwise_and_fully_fused(self, grid, monkeypatch):
         """At the paper's 30 runs, every spec of the figure grid comes
         from the fused replay: one family per mode, none rerouted, and
         not one spec reaches the per-spec path."""
-        specs = grid_specs(iterations=30, grid=grid)
+        specs = sweep_specs(grid, iterations=30)
         _, scalar = sweep(specs, "reference")
 
         def refuse(entry):
@@ -141,7 +140,7 @@ class TestFigureGrids:
         Edge cells are where a monotonicity argument would slip first;
         compare them spec-by-spec rather than only as a whole list.
         """
-        specs = grid_specs(iterations=2, grid="fig12")
+        specs = sweep_specs("fig12", iterations=2)
         edge_threads = {min(s.threads for s in specs),
                         max(s.threads for s in specs)}
         _, fused = sweep(specs, "vector")

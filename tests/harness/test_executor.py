@@ -20,8 +20,8 @@ from repro.harness.executor import (CacheStats, ResultCache, RunSpec,
                                     collect_comparisons, collect_runsets,
                                     expand_grid)
 # Aliased: pyproject collects `bench_*` callables as tests.
-from repro.harness.regression import bench_grid_specs as grid_specs_for
 from repro.harness.resilience import RetryPolicy
+from repro.harness.sensitivity import sweep_specs
 from repro.harness.store import run_to_record
 from repro.sim.calibration import default_calibration
 from repro.sim.hardware import default_system
@@ -58,7 +58,7 @@ class TestParallelDeterminism:
                                                           monkeypatch):
         """jobs=2 replays fig. 12's whole vector grid in this process:
         every spec is grid-replayed and no worker pool is built."""
-        specs = grid_specs_for(iterations=30, grid="fig12")
+        specs = sweep_specs("fig12", iterations=30)
         serial = SweepExecutor(jobs=1, engine="vector").run(specs)
 
         def refuse(pool, workers):
@@ -73,7 +73,7 @@ class TestParallelDeterminism:
     def test_pooled_sweep_under_a_fault_plan_sends_every_spec(self):
         """A fault must meet its spec in a worker, so a pooled sweep
         under a plan replays no grid (and reports none)."""
-        specs = grid_specs_for(iterations=2, grid="fig12")
+        specs = sweep_specs("fig12", iterations=2)
         serial = SweepExecutor(jobs=1, engine="vector").run(specs)
         plan = faults.FaultPlan(faults=(faults.Fault.for_spec(
             specs[5], kind=faults.KIND_FAIL, attempts=(1,)),))

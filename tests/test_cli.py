@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import COMMANDS, build_parser, main
 from repro.core.execution import DEFAULT_ENGINE
 
 
@@ -172,8 +172,7 @@ class TestSweep:
         ["sweep", "saxpy", "--sizes", "tiny", "--engine", "fast"],
         ["serve", "--engine", "fast"],
         ["fabric", "run", "saxpy", "--root", "unused", "--engine", "fast"],
-        ["bench", "--engines", "fast"],
-    ], ids=["figure", "sweep", "serve", "fabric-run", "bench"])
+    ], ids=["figure", "sweep", "serve", "fabric-run"])
     def test_retired_fast_engine_is_an_argparse_error(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
@@ -211,71 +210,6 @@ class TestSweep:
         assert "grid-replayed" in vec
 
 
-class TestBench:
-    """`repro bench`: perf-trajectory snapshots + the statistical gate."""
-
-    ARGS = ("bench", "--repeats", "1", "--iterations", "1")
-
-    def test_bench_measures_and_saves(self, capsys, tmp_path):
-        out = run_cli(capsys, *self.ARGS,
-                      "--results-dir", str(tmp_path))
-        assert "bench grid: fig12-threads" in out
-        assert "  vector " in out  # the default engine's leg
-        assert "snapshot written" in out
-        snapshots = list(tmp_path.glob("BENCH_*.json"))
-        assert len(snapshots) == 1
-        assert snapshots[0].name.startswith("BENCH_0001_")
-
-    def test_check_without_baseline_is_informative(self, capsys,
-                                                   tmp_path):
-        out = run_cli(capsys, *self.ARGS, "--check", "--no-save",
-                      "--results-dir", str(tmp_path))
-        assert "no baseline snapshot" in out
-        assert not list(tmp_path.glob("BENCH_*.json"))
-
-    def test_check_against_slow_baseline_improves(self, capsys,
-                                                  tmp_path):
-        from repro.harness.regression import load_bench, save_bench
-        path = run_cli(capsys, *self.ARGS,
-                       "--results-dir", str(tmp_path))
-        baseline = load_bench(next(tmp_path.glob("BENCH_*.json")))
-        for samples in baseline["engines"].values():
-            for phase in ("cold_s", "warm_s"):
-                samples[phase] = [s * 1000 for s in samples[phase]]
-        save_bench(baseline, results_dir=tmp_path)
-        out = run_cli(capsys, *self.ARGS, "--check", "--no-save",
-                      "--results-dir", str(tmp_path))
-        assert "baseline:" in out
-        assert "REGRESSED" not in out
-        assert "improved" in out
-
-    def test_check_regression_exits_nonzero(self, capsys, tmp_path):
-        from repro.harness.regression import load_bench, save_bench
-        run_cli(capsys, *self.ARGS, "--results-dir", str(tmp_path))
-        baseline = load_bench(next(tmp_path.glob("BENCH_*.json")))
-        for samples in baseline["engines"].values():
-            for phase in ("cold_s", "warm_s"):
-                samples[phase] = [s / 1000 for s in samples[phase]]
-        save_bench(baseline, results_dir=tmp_path)
-        code = main(["bench", "--repeats", "1", "--iterations", "1",
-                     "--check", "--no-save",
-                     "--results-dir", str(tmp_path)])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "REGRESSED" in out
-
-    def test_engine_subset_and_validation(self, capsys, tmp_path):
-        out = run_cli(capsys, "bench", "--repeats", "1",
-                      "--iterations", "1", "--engines", "vector",
-                      "--no-save", "--results-dir", str(tmp_path))
-        assert "vector" in out
-        assert "reference" not in out
-        with pytest.raises(SystemExit):
-            main(["bench", "--repeats", "0"])
-        with pytest.raises(SystemExit):
-            main(["bench", "--engines", "warp"])
-
-
 class TestArtifact:
     def test_run_micro_shared(self, capsys):
         out = run_cli(capsys, "artifact", "run_micro_shared", "-i", "2")
@@ -294,6 +228,26 @@ class TestParser:
     def test_unknown_workload_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "quake3"])
+
+    @pytest.mark.parametrize("argv", [["bench"], ["bench", "--check"]],
+                             ids=["bench", "bench-check"])
+    def test_deleted_bench_command_is_an_argparse_error(self, argv, capsys):
+        """`repro bench` was deleted; perfbench is the timing harness."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    def test_successive_mains_start_from_the_defaults(self, monkeypatch):
+        """``main`` reuses one parser: an appended option of one call
+        does not leak into the next."""
+        seen = []
+        monkeypatch.setitem(COMMANDS, "sweep",
+                            lambda args: seen.append(args.sizes) or "")
+        assert main(["sweep", "saxpy", "--sizes", "small",
+                     "--sizes", "large"]) == 0
+        assert main(["sweep", "saxpy"]) == 0
+        assert seen == [["small", "large"], None]
 
 
 class TestRoofline:
