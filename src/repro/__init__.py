@@ -21,22 +21,59 @@ Quickstart::
                                   iterations=10)
     for mode in comparison.modes():
         print(mode.value, comparison.normalized_total(mode))
+
+Package exports are lazy (PEP 562): ``import repro`` loads no
+submodule, and each public name imports its submodule on first use.
 """
 
-from .analysis import (LintError, LintReport, StreamGraph, lint_program,
-                       lint_registry, validate_program)
-from .core import (ALL_MODES, Experiment, ModeComparison, Recommendation,
-                   RunResult, RunSet, TransferMode, compare_workload,
-                   execute_program, interjob_speedup, recommend_mode,
-                   run_job_batch, run_workload, section6_shares)
-from .harness.executor import (ResultCache, RunSpec, SweepExecutor,
-                               expand_grid)
-from .sim import (AccessPattern, Calibration, CudaRuntime, KernelDescriptor,
-                  Program, SystemSpec, default_calibration, default_system)
-from .workloads.registry import (ALL_NAMES, APP_NAMES, MICRO_NAMES,
-                                 all_workloads, app_workloads, get_workload,
-                                 micro_workloads, workloads_by_suite)
-from .workloads.sizes import STABLE_SIZES, SizeClass
+
+def _lazy_exports(package, table):
+    """PEP 562 ``(__getattr__, __dir__)`` for a package's public names.
+
+    ``table`` maps each submodule (relative to ``package``) to the
+    names it exports.  A name is imported from its submodule on first
+    access and then bound on the package, so ``import package`` loads
+    no submodule and later lookups cost what an eager export did.
+    """
+    import importlib
+    import sys
+
+    owner = {name: module for module, names in table.items()
+             for name in names}
+
+    def __getattr__(name):
+        module = owner.get(name)
+        if module is None:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(module, package), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__():
+        return sorted(set(vars(sys.modules[package])) | set(owner))
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".analysis": ("LintError", "LintReport", "StreamGraph", "lint_program",
+                  "lint_registry", "validate_program"),
+    ".core": ("ALL_MODES", "Experiment", "ModeComparison", "Recommendation",
+              "RunResult", "RunSet", "TransferMode", "compare_workload",
+              "execute_program", "interjob_speedup", "recommend_mode",
+              "run_job_batch", "run_workload", "section6_shares"),
+    ".harness.executor": ("ResultCache", "RunSpec", "SweepExecutor",
+                          "expand_grid"),
+    ".sim": ("AccessPattern", "Calibration", "CudaRuntime",
+             "KernelDescriptor", "Program", "SystemSpec",
+             "default_calibration", "default_system"),
+    ".workloads.registry": ("ALL_NAMES", "APP_NAMES", "MICRO_NAMES",
+                            "all_workloads", "app_workloads",
+                            "get_workload", "micro_workloads",
+                            "workloads_by_suite"),
+    ".workloads.sizes": ("STABLE_SIZES", "SizeClass"),
+})
 
 __version__ = "1.0.0"
 

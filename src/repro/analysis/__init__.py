@@ -35,15 +35,19 @@ proves those assumptions over the Python source itself:
 See ``docs/LINTING.md`` for the rule catalog.
 """
 
-from .astlint import SOURCE_REGISTRY, run_static_analysis, scan_package
-from .diagnostics import (Diagnostic, LintReport, Rule, RuleRegistry,
-                          Severity)
-from .rules import DEFAULT_REGISTRY, LintContext, run_rules
-from .runner import (LintError, lint_program, lint_registry, lint_workload,
-                     validate_program)
-from .sarif import to_sarif
-from .streamcheck import GraphOp, StreamGraph, analyze_records
-from .suppress import Baseline, Suppressions
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".astlint": ("SOURCE_REGISTRY", "run_static_analysis", "scan_package"),
+    ".diagnostics": ("Diagnostic", "LintReport", "Rule", "RuleRegistry",
+                     "Severity"),
+    ".rules": ("DEFAULT_REGISTRY", "LintContext", "run_rules"),
+    ".runner": ("LintError", "lint_program", "lint_registry",
+                "lint_workload", "validate_program"),
+    ".sarif": ("to_sarif",),
+    ".streamcheck": ("GraphOp", "StreamGraph", "analyze_records"),
+    ".suppress": ("Baseline", "Suppressions"),
+})
 
 __all__ = [
     "Baseline", "DEFAULT_REGISTRY", "Diagnostic", "GraphOp", "LintContext",

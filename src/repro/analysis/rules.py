@@ -408,6 +408,28 @@ def check_scratch_host_fraction(ctx: LintContext, rule: Rule, config: dict):
                          "direction")
 
 
+# ----------------------------------------------------------------------
+# S3xx - stream graph rules
+# ----------------------------------------------------------------------
+# Catalog entries only (check=None): :mod:`repro.analysis.streamcheck`
+# runs them on stream graphs, not programs.  They are registered here so
+# the catalog is complete without importing the analyzer.
+STREAM_RULES = (
+    Rule("S301", "stream-race", Severity.ERROR,
+         "Unsynchronized cross-stream access to the same buffer with at "
+         "least one writer (e.g. a kernel consuming a buffer while an "
+         "H2D copy to it is still in flight on another stream)."),
+    Rule("S302", "stream-cycle", Severity.ERROR,
+         "The happens-before graph has a dependency cycle: every "
+         "operation on it deadlocks at run time."),
+    Rule("S303", "dead-sync", Severity.WARNING,
+         "A synchronize() that waits on nothing: the stream is empty, "
+         "already drained, or was just synchronized."),
+)
+for _rule in STREAM_RULES:
+    DEFAULT_REGISTRY.register(_rule)
+
+
 def run_rules(ctx: LintContext,
               registry: RuleRegistry = None) -> Iterator[Diagnostic]:
     """Run every enabled program rule against one context."""

@@ -25,25 +25,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..sim.streams import StreamOpRecord
-from .diagnostics import Diagnostic, Rule, RuleRegistry, Severity
-from .rules import DEFAULT_REGISTRY
-
-# Catalog entries (check=None: these run on stream graphs, not programs).
-STREAM_RULES = (
-    Rule("S301", "stream-race", Severity.ERROR,
-         "Unsynchronized cross-stream access to the same buffer with at "
-         "least one writer (e.g. a kernel consuming a buffer while an "
-         "H2D copy to it is still in flight on another stream)."),
-    Rule("S302", "stream-cycle", Severity.ERROR,
-         "The happens-before graph has a dependency cycle: every "
-         "operation on it deadlocks at run time."),
-    Rule("S303", "dead-sync", Severity.WARNING,
-         "A synchronize() that waits on nothing: the stream is empty, "
-         "already drained, or was just synchronized."),
-)
-for _rule in STREAM_RULES:
-    if _rule.id not in DEFAULT_REGISTRY:
-        DEFAULT_REGISTRY.register(_rule)
+from .diagnostics import Diagnostic, RuleRegistry
+from .rules import DEFAULT_REGISTRY, STREAM_RULES
 
 
 @dataclass

@@ -28,13 +28,9 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .core.advisor import recommend_mode
 from .core.configs import ALL_MODES, TransferMode
 from .core.execution import DEFAULT_ENGINE, ENGINES
 from .core.experiment import Experiment
-from .core.pipeline_model import interjob_speedup
-from .core.roofline import render_roofline, suite_roofline
-from .fabric.dag import STRUCTURES
 from .harness.executor import (ResultCache, SweepExecutor, default_cache_dir,
                                default_jobs)
 from .harness.resilience import (RetryPolicy, SweepFailure, SweepJournal)
@@ -45,11 +41,9 @@ from .harness.figures import (comparison_sweep, fig4_distributions,
                               render_comparison, render_counters,
                               render_fig5, render_fig6)
 from .harness.report import format_ns, render_table
-from .harness.size_search import assess_sizes, render_size_search
 from .harness.sensitivity import (blocks_sensitivity, carveout_sensitivity,
                                   normalized_sweep, render_sweep,
                                   threads_sensitivity)
-from .harness.tables import table1_hardware, table2_suite, table3_sizes
 from .workloads.registry import ALL_NAMES, get_workload
 from .workloads.sizes import SizeClass
 
@@ -170,14 +164,17 @@ def _finish_sweep(text: str, executor: SweepExecutor):
 
 
 def _cmd_list(_args) -> str:
+    from .harness.tables import table2_suite
     return table2_suite()
 
 
 def _cmd_sizes(_args) -> str:
+    from .harness.tables import table3_sizes
     return table3_sizes()
 
 
 def _cmd_hardware(_args) -> str:
+    from .harness.tables import table1_hardware
     return table1_hardware()
 
 
@@ -277,6 +274,7 @@ def _cmd_figure(args):
             render_sweep(normalized_sweep(data, baseline_key=32),
                          "smem KB", "Fig. 13"), executor)
     if figure == "14":
+        from .core.pipeline_model import interjob_speedup
         program = get_workload("vector_seq").program(SizeClass.SUPER)
         rows = []
         for mode in (TransferMode.STANDARD,
@@ -388,6 +386,7 @@ def _cmd_fabric(args):
 
 
 def _cmd_advise(args) -> str:
+    from .core.advisor import recommend_mode
     size = SizeClass.from_label(args.size)
     workload = get_workload(args.workload)
     program = workload.program(size)
@@ -395,6 +394,7 @@ def _cmd_advise(args) -> str:
 
 
 def _cmd_interjob(args) -> str:
+    from .core.pipeline_model import interjob_speedup
     size = SizeClass.from_label(args.size)
     program = get_workload(args.workload).program(size)
     mode = TransferMode.from_label(args.mode)
@@ -405,6 +405,16 @@ def _cmd_interjob(args) -> str:
             f"  pipelined  {format_ns(entry['pipelined_wall_ns'])}\n"
             f"  improvement {entry['improvement_pct']:.2f} % "
             f"(speedup {entry['speedup']:.3f}x)")
+
+
+#: ``repro fabric run --structure`` choices: ``tuple(STRUCTURES)`` of
+#: :mod:`repro.fabric.dag`, spelled out so that building the parser
+#: does not import the fabric (a test pins the two equal).
+FABRIC_STRUCTURES = ("flat", "figure", "sensitivity", "sizesearch")
+#: ``repro artifact`` choices: ``sorted(ARTIFACT_SCRIPTS)`` of
+#: :mod:`repro.harness.artifact`, spelled out for the same reason.
+ARTIFACT_NAMES = ("process_perf", "run_micro_all", "run_micro_sensitivity",
+                  "run_micro_shared", "run_real_all")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -474,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     frun.add_argument("--workers", type=int, default=3,
                       help="worker processes to spawn (default: 3)")
     frun.add_argument("--structure", default="figure",
-                      choices=tuple(STRUCTURES),
+                      choices=FABRIC_STRUCTURES,
                       help="DAG compilation structure (default: figure)")
     frun.add_argument("--engine", default=DEFAULT_ENGINE,
                       choices=tuple(ENGINES))
@@ -586,8 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     artifact = sub.add_parser("artifact",
                               help="run one of the paper appendix's "
                                    "experiment scripts")
-    from .harness.artifact import ARTIFACT_SCRIPTS
-    artifact.add_argument("script", choices=sorted(ARTIFACT_SCRIPTS))
+    artifact.add_argument("script", choices=ARTIFACT_NAMES)
     artifact.add_argument("-i", "--iterations", type=int, default=10)
     artifact.add_argument("--seed", type=int, default=1234)
     artifact.add_argument("--profiling", action="store_true")
@@ -651,12 +660,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_roofline(args) -> str:
+    from .core.roofline import render_roofline, suite_roofline
     size = SizeClass.from_label(args.size)
     names = args.workloads or None
     return render_roofline(suite_roofline(size, names=names))
 
 
 def _cmd_sizesearch(args):
+    from .harness.size_search import assess_sizes, render_size_search
     executor = _executor_from_args(args)
     assessments = assess_sizes(args.workload, iterations=args.iterations,
                                base_seed=args.seed, executor=executor)

@@ -1,24 +1,28 @@
 """The characterization framework: configurations, experiments, results."""
 
-from .advisor import (Recommendation, check_carveout, check_input_size,
-                      check_launch_geometry, recommend_mode)
-from .configs import ALL_MODES, TransferMode
-from .discussion import DiscussionSummary, ShareSummary, section6_shares
-from .execution import execute_program, managed_capacity_ratio
-from .multigpu import (MultiGpuResult, run_multi_gpu, scaling_study,
-                       shard_program)
-from .pipeline_model import BatchResult, interjob_speedup, run_job_batch
-from .roofline import (Bottleneck, RooflinePoint, render_roofline,
-                       roofline_point, suite_roofline)
-from .experiment import (DEFAULT_ITERATIONS, Experiment, compare_workload,
-                         run_workload)
-from .results import ModeComparison, RunResult, RunSet
-from .streaming import (StreamedResult, execute_program_streamed,
-                        slice_descriptor)
-from .stats import (SignificanceResult, Summary, coefficient_of_variation,
-                    confidence_interval_95, geomean, improvement_pct, mean,
-                    normalize_to, percentile, significantly_faster, speedup,
-                    std)
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".advisor": ("Recommendation", "check_carveout", "check_input_size",
+                 "check_launch_geometry", "recommend_mode"),
+    ".configs": ("ALL_MODES", "TransferMode"),
+    ".discussion": ("DiscussionSummary", "ShareSummary", "section6_shares"),
+    ".execution": ("execute_program", "managed_capacity_ratio"),
+    ".multigpu": ("MultiGpuResult", "run_multi_gpu", "scaling_study",
+                  "shard_program"),
+    ".pipeline_model": ("BatchResult", "interjob_speedup", "run_job_batch"),
+    ".roofline": ("Bottleneck", "RooflinePoint", "render_roofline",
+                  "roofline_point", "suite_roofline"),
+    ".experiment": ("DEFAULT_ITERATIONS", "Experiment", "compare_workload",
+                    "run_workload"),
+    ".results": ("ModeComparison", "RunResult", "RunSet"),
+    ".streaming": ("StreamedResult", "execute_program_streamed",
+                   "slice_descriptor"),
+    ".stats": ("SignificanceResult", "Summary", "coefficient_of_variation",
+               "confidence_interval_95", "geomean", "improvement_pct",
+               "mean", "normalize_to", "percentile", "significantly_faster",
+               "speedup", "std"),
+})
 
 __all__ = [
     "ALL_MODES", "BatchResult", "DEFAULT_ITERATIONS", "DiscussionSummary",

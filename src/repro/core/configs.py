@@ -22,6 +22,12 @@ class TransferMode(enum.Enum):
     UVM_PREFETCH = "uvm_prefetch"
     UVM_PREFETCH_ASYNC = "uvm_prefetch_async"
 
+    # Members are singletons that compare by identity, so the C-level
+    # identity hash is as good as ``Enum``'s Python-level
+    # ``hash(self._name_)`` and keeps ``RunSpec.__hash__`` cheap.  No
+    # key, seed or output order derives from it.
+    __hash__ = object.__hash__
+
     @property
     def managed(self) -> bool:
         """Uses cudaMallocManaged (unified virtual memory)."""

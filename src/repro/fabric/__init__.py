@@ -13,18 +13,22 @@ stalls, partitions and re-executions yields results bit-identical to
 the serial sweep — see ``docs/FABRIC.md``.
 """
 
-from .dag import (SpecDAG, SpecNode, compile_figure_grid, compile_grid,
-                  compile_sensitivity_grid, compile_size_search_grid,
-                  compile_sweep, family_key, find_children, find_parents,
-                  group_key, walk_program, STRUCTURES)
-from .layout import FabricMeta, FabricRoot
-from .leases import Lease, LeaseDir
-from .state import (FabricState, NodeState, expired_leases, reduce_state,
-                    straggler_nodes)
-from .worker import FabricWorker, WorkerCrashed
-from .coordinator import (Coordinator, CoordinatorStats, FabricTimeout,
-                          run_fabric)
-from .status import fabric_state, render_status
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".dag": ("SpecDAG", "SpecNode", "compile_figure_grid", "compile_grid",
+             "compile_sensitivity_grid", "compile_size_search_grid",
+             "compile_sweep", "family_key", "find_children", "find_parents",
+             "group_key", "walk_program", "STRUCTURES"),
+    ".layout": ("FabricMeta", "FabricRoot"),
+    ".leases": ("Lease", "LeaseDir"),
+    ".state": ("FabricState", "NodeState", "expired_leases", "reduce_state",
+               "straggler_nodes"),
+    ".worker": ("FabricWorker", "WorkerCrashed"),
+    ".coordinator": ("Coordinator", "CoordinatorStats", "FabricTimeout",
+                     "run_fabric"),
+    ".status": ("fabric_state", "render_status"),
+})
 
 __all__ = [
     "SpecDAG", "SpecNode", "compile_grid", "compile_figure_grid",

@@ -41,17 +41,12 @@ import enum
 import hashlib
 import itertools
 import json
-import multiprocessing
 import operator
 import os
 import signal
 import threading
 import time
 import traceback as traceback_module
-from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
-                                ProcessPoolExecutor)
-from concurrent.futures import TimeoutError as FuturesTimeout
-from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
@@ -60,11 +55,17 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
 import numpy as np
 
 from ..core.configs import ALL_MODES, TransferMode
-from ..core.execution import engine_spec, execute_program
+from ..core.execution import (compile_program, derive_compiled, engine_spec,
+                              execute_program, iter_phase_cells,
+                              program_structure_key)
 from ..core.experiment import run_seed, seed_words
 from ..core.results import ModeComparison, RunResult, RunSet
 from ..sim.calibration import Calibration, default_calibration
 from ..sim.hardware import SystemSpec, default_system
+from ..sim.hostmem import place_host_data
+from ..sim.phasecache import phase_memo_for
+from ..sim.vecgrid import (FamilyRerouted, compile_family,
+                           prewarm_phase_memo, replay_family)
 from ..workloads.sizes import SizeClass
 from . import faults
 from .resilience import (DEFAULT_RETRY_POLICY, RetryPolicy, SpecOutcome,
@@ -840,7 +841,6 @@ def _execute_entry(entry: Tuple) -> RunResult:
     calib = calib or default_calibration()
     phase_memo = None
     if analytic:
-        from ..sim.phasecache import phase_memo_for
         phase_memo = phase_memo_for(system, calib)
     return execute_program(
         program, spec.mode,
@@ -866,7 +866,6 @@ def _grid_entry(entry: Tuple) -> Tuple:
     ``[sweep]`` summary reports.
     """
     specs, system, calib, engine = entry
-    from ..sim.phasecache import phase_memo_for
     executor = SweepExecutor(jobs=1, system=system, calib=calib,
                              engine=engine)
     executor._phase_memo = phase_memo_for(system or default_system(),
@@ -1223,7 +1222,6 @@ class SweepExecutor:
             # Bind the coordinator-side memo so the grid replay and
             # serial sweeps report hit/miss deltas in the summary (pool
             # workers keep private memos the coordinator cannot see).
-            from ..sim.phasecache import phase_memo_for
             self._phase_memo = phase_memo_for(
                 self.system or default_system(),
                 self.calib or default_calibration())
@@ -1572,10 +1570,6 @@ class SweepExecutor:
         tallied into ``self._reroute_rules`` for the ``[sweep]``
         summary.
         """
-        from ..core.execution import (compile_program, derive_compiled,
-                                      iter_phase_cells,
-                                      program_structure_key)
-        from ..sim.vecgrid import prewarm_phase_memo
         system = self.system or default_system()
         calib = self.calib or default_calibration()
         memo = self._phase_memo
@@ -1660,6 +1654,8 @@ class SweepExecutor:
         grid empty, so every spec takes the per-spec path; the task is
         no one spec's, so none is credited with the crash.
         """
+        from concurrent.futures import BrokenExecutor
+        from concurrent.futures import TimeoutError as FuturesTimeout
         try:
             future = pools.get(self.jobs).submit(
                 _grid_entry, (specs, self.system, self.calib, self.engine))
@@ -1689,7 +1685,6 @@ class SweepExecutor:
 
     def _compile_family(self, fused_cells, calib):
         """The family's array program, or ``None`` (reroute tallied)."""
-        from ..sim.vecgrid import FamilyRerouted, compile_family
         try:
             fam = compile_family([c for _, _, c in fused_cells], calib)
         except FamilyRerouted as rerouted:
@@ -1715,8 +1710,6 @@ class SweepExecutor:
         Rows whose per-spec residual guards fail stay out of
         ``self._grid`` and take the per-spec path.
         """
-        from ..sim.hostmem import place_host_data
-        from ..sim.vecgrid import replay_family
         noise = calib.noise
         cpu = system.cpu
         chip_bytes = cpu.dram_chip_bytes
@@ -1916,6 +1909,8 @@ class SweepExecutor:
         an innocent bystander can never accumulate enough credits to
         be quarantined alongside the real poison.
         """
+        from concurrent.futures import FIRST_COMPLETED, BrokenExecutor
+        from concurrent.futures import wait as futures_wait
         policy = self.retry
         workers = min(self.jobs, len(pending))
         use_deadline = policy.timeout_s is not None
@@ -2049,6 +2044,7 @@ class SweepExecutor:
         suspects yet) every victim is credited; they all become
         suspects and are subsequently isolated.
         """
+        from concurrent.futures import BrokenExecutor
         self._crashes += 1
         for future, meta in list(in_flight.items()):
             index, spec, key, attempt, _ = meta
@@ -2097,6 +2093,7 @@ class SweepExecutor:
         stuck, so retry/fail the hung specs, salvage finished futures,
         requeue the innocent in-flight ones, and replace the pool
         (terminating the stuck workers)."""
+        from concurrent.futures import BrokenExecutor
         policy = self.retry
         now = time.monotonic()
         for future in expired:
@@ -2137,6 +2134,14 @@ class SweepExecutor:
 #: Seconds :meth:`WorkerPool.close` waits for a worker to exit before
 #: killing it.
 _CLOSE_GRACE_S = 5.0
+
+
+#: Modules the forkserver imports before it forks any worker: this one
+#: (which imports the simulator and the vector engine), the workload
+#: registry that builds each spec's program, and NumPy's lazily loaded
+#: ``numpy.random`` that seeds each run.  A worker's first task then
+#: imports nothing.
+FORKSERVER_PRELOAD = (__name__, "repro.workloads.registry", "numpy.random")
 
 
 def _pool_processes(pool) -> list:
@@ -2187,8 +2192,10 @@ class WorkerPool:
             # none of the coordinator's threads, sockets or signal
             # handlers (a long-lived worker forked from a server would
             # keep its clients' connections open).
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
             context = multiprocessing.get_context("forkserver")
-            context.set_forkserver_preload([__name__])
+            context.set_forkserver_preload(list(FORKSERVER_PRELOAD))
             self._pool = ProcessPoolExecutor(max_workers=workers,
                                              mp_context=context)
             self._size = workers

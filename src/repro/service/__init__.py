@@ -11,13 +11,17 @@ SIGTERM drain that checkpoints to the sweep journal for bit-identical
 ``--resume``. See ``docs/SERVICE.md``.
 """
 
-from .admission import (AdmissionController, AdmissionLimits,
-                        AdmissionRejected)
-from .hotcache import HotCache, HotCacheStats
-from .lifecycle import drain, resume_pending, serve
-from .scheduler import CircuitBreaker, FairShareScheduler, SpecJob
-from .server import (PENDING_STATUS, RESUME_TENANT, SERVICE_JOURNAL,
-                     BadRequest, ReproService, ServiceConfig)
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".admission": ("AdmissionController", "AdmissionLimits",
+                   "AdmissionRejected"),
+    ".hotcache": ("HotCache", "HotCacheStats"),
+    ".lifecycle": ("drain", "resume_pending", "serve"),
+    ".scheduler": ("CircuitBreaker", "FairShareScheduler", "SpecJob"),
+    ".server": ("PENDING_STATUS", "RESUME_TENANT", "SERVICE_JOURNAL",
+                "BadRequest", "ReproService", "ServiceConfig"),
+})
 
 __all__ = [
     "AdmissionController", "AdmissionLimits", "AdmissionRejected",

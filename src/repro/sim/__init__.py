@@ -7,33 +7,37 @@ CUDA-like runtime that executes workload programs while recording the
 paper's three-way time breakdown and CUPTI-style counters.
 """
 
-from .calibration import Calibration, default_calibration
-from .cache import MissRates, l1_miss_rates
-from .counters import CounterReport, KernelCounters
-from .engine import (Deadline, Environment, Event, Process, Resource,
-                     SimulationError, Timeout)
-from .export import export_chrome_trace, timeline_to_trace_events
-from .phasecache import PhaseMemo, clear_phase_memos, phase_memo_for
-from .hardware import (CpuSpec, GpuSpec, LinkSpec, SystemSpec, UvmSpec,
-                       default_system, GIB, KIB, MIB)
-from .hostmem import HostPlacement, place_host_data
-from .kernel import (AccessPattern, AsyncMechanism, InstructionMix,
-                     KernelDescriptor)
-from .pagesim import (PageSimResult, fault_study, generate_access_trace,
-                      replay_trace)
-from .pcie import MAX_TRAIN_CHUNKS, PcieLink, TransferKind
-from .program import (BufferDirection, BufferSpec, KernelPhase, Program,
-                      simple_program)
-from .runtime import CudaRuntime
-from .streams import CudaStream, device_synchronize
-from .sm import Occupancy, occupancy_for, pipeline_fits, smem_per_block
-from .timing import ConfigFlags, KernelExecution, simulate_kernel
-from .trace import Timeline, TraceEvent
-from .uvm import (ManagedAllocation, ManagedSpace, MigrationPlan, UvmError,
-                  fault_batches, migration_blocks)
-from .vecgrid import (AnalyticRuntime, CompiledProgram, ContentionDetected,
-                      VecStats, prewarm_phase_memo, simulate_phase_grid,
-                      vec_stats)
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".calibration": ("Calibration", "default_calibration"),
+    ".cache": ("MissRates", "l1_miss_rates"),
+    ".counters": ("CounterReport", "KernelCounters"),
+    ".engine": ("Deadline", "Environment", "Event", "Process", "Resource",
+                "SimulationError", "Timeout"),
+    ".export": ("export_chrome_trace", "timeline_to_trace_events"),
+    ".phasecache": ("PhaseMemo", "clear_phase_memos", "phase_memo_for"),
+    ".hardware": ("CpuSpec", "GpuSpec", "LinkSpec", "SystemSpec", "UvmSpec",
+                  "default_system", "GIB", "KIB", "MIB"),
+    ".hostmem": ("HostPlacement", "place_host_data"),
+    ".kernel": ("AccessPattern", "AsyncMechanism", "InstructionMix",
+                "KernelDescriptor"),
+    ".pagesim": ("PageSimResult", "fault_study", "generate_access_trace",
+                 "replay_trace"),
+    ".pcie": ("MAX_TRAIN_CHUNKS", "PcieLink", "TransferKind"),
+    ".program": ("BufferDirection", "BufferSpec", "KernelPhase", "Program",
+                 "simple_program"),
+    ".runtime": ("CudaRuntime",),
+    ".streams": ("CudaStream", "device_synchronize"),
+    ".sm": ("Occupancy", "occupancy_for", "pipeline_fits", "smem_per_block"),
+    ".timing": ("ConfigFlags", "KernelExecution", "simulate_kernel"),
+    ".trace": ("Timeline", "TraceEvent"),
+    ".uvm": ("ManagedAllocation", "ManagedSpace", "MigrationPlan",
+             "UvmError", "fault_batches", "migration_blocks"),
+    ".vecgrid": ("AnalyticRuntime", "CompiledProgram", "ContentionDetected",
+                 "VecStats", "prewarm_phase_memo", "simulate_phase_grid",
+                 "vec_stats"),
+})
 
 __all__ = [
     "AccessPattern", "AsyncMechanism", "BufferDirection", "BufferSpec", "Calibration",

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import COMMANDS, build_parser, main
+from repro.cli import (ARTIFACT_NAMES, COMMANDS, FABRIC_STRUCTURES,
+                       build_parser, main)
 from repro.core.execution import DEFAULT_ENGINE
 
 
@@ -248,6 +249,24 @@ class TestParser:
                      "--sizes", "large"]) == 0
         assert main(["sweep", "saxpy"]) == 0
         assert seen == [["small", "large"], None]
+
+    def test_literal_choices_match_the_registries(self):
+        """The parser spells out these choices so that building it
+        imports neither the fabric nor the artifact scripts; a new DAG
+        structure or script must be added there too."""
+        from repro.fabric.dag import STRUCTURES
+        from repro.harness.artifact import ARTIFACT_SCRIPTS
+        parser = build_parser()
+        frun = parser.parse_args(["fabric", "run", "--root", "r"])
+        assert frun.structure in STRUCTURES
+        for structure in STRUCTURES:
+            assert parser.parse_args(
+                ["fabric", "run", "--root", "r", "--structure", structure]
+            ).structure == structure
+        for script in ARTIFACT_SCRIPTS:
+            assert parser.parse_args(["artifact", script]).script == script
+        assert FABRIC_STRUCTURES == tuple(STRUCTURES)
+        assert ARTIFACT_NAMES == tuple(sorted(ARTIFACT_SCRIPTS))
 
 
 class TestRoofline:
