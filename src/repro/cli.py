@@ -606,25 +606,35 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the sweep-as-a-service HTTP server (POST /sweep; "
              "429 load shedding, per-request deadlines, SIGTERM drain "
              "with --resume; see docs/SERVICE.md)")
-    serve.add_argument("--host", default="127.0.0.1")
+    # The defaults below are ServiceConfig's and AdmissionLimits'
+    # (tests/test_cli.py checks each one); they are spelled out so that
+    # building the parser does not import repro.service.
+    serve.add_argument("--host", default="127.0.0.1",
+                       help="bind address (default: %(default)s)")
     serve.add_argument("--port", type=int, default=8023,
-                       help="TCP port (0 = pick a free ephemeral port; "
-                            "the chosen port is announced on stdout)")
+                       help="TCP port (default: %(default)s; 0 = pick a "
+                            "free ephemeral port, announced on stdout)")
     serve.add_argument("--jobs", type=int, default=1,
-                       help="executor workers per batch (default: 1)")
+                       help="executor workers per batch "
+                            "(default: %(default)s)")
     serve.add_argument("--engine", default=DEFAULT_ENGINE,
                        choices=tuple(ENGINES),
-                       help="simulation engine; non-reference engines "
-                            "fall back to reference when the circuit "
-                            "breaker trips (results stay bit-identical)")
+                       help="simulation engine (default: %(default)s); "
+                            "non-reference engines fall back to "
+                            "reference when the circuit breaker trips "
+                            "(results stay bit-identical)")
     serve.add_argument("--slots", type=int, default=2,
-                       help="concurrent executor batches (default: 2)")
-    serve.add_argument("--batch-size", type=int, default=8,
-                       help="max specs per executor batch (default: 8)")
+                       help="concurrent executor batches "
+                            "(default: %(default)s)")
+    serve.add_argument("--batch-size", type=int, default=64,
+                       help="max specs per executor batch "
+                            "(default: %(default)s)")
     serve.add_argument("--retries", type=int, default=1,
-                       help="per-spec retries inside a batch (default: 1)")
+                       help="per-spec retries inside a batch "
+                            "(default: %(default)s)")
     serve.add_argument("--timeout", type=float, default=30.0, metavar="S",
-                       help="per-spec wall-clock budget (default: 30)")
+                       help="per-spec wall-clock budget "
+                            "(default: %(default)s)")
     serve.add_argument("--cache-dir", default=None,
                        help="result-cache directory (default: "
                             "$REPRO_CACHE_DIR or ~/.cache/repro/results)")
@@ -634,28 +644,33 @@ def build_parser() -> argparse.ArgumentParser:
                             "drain checkpoint)")
     serve.add_argument("--max-pending", type=int, default=512,
                        help="global admitted-spec ceiling before 429s "
-                            "(default: 512)")
+                            "(default: %(default)s)")
     serve.add_argument("--max-requests", type=int, default=64,
-                       help="concurrent request ceiling (default: 64)")
+                       help="concurrent request ceiling "
+                            "(default: %(default)s)")
     serve.add_argument("--max-tenant-pending", type=int, default=None,
                        help="per-tenant pending-spec cap (default: none)")
     serve.add_argument("--retry-after", type=float, default=1.0,
-                       metavar="S", help="Retry-After hint on 429s")
+                       metavar="S", help="Retry-After hint on 429s "
+                                         "(default: %(default)s)")
     serve.add_argument("--deadline", type=float, default=60.0, metavar="S",
                        help="default per-request deadline when the "
-                            "client sends none (default: 60)")
+                            "client sends none (default: %(default)s)")
     serve.add_argument("--drain-grace", type=float, default=30.0,
                        metavar="S",
                        help="seconds running batches get to finish "
-                            "during a SIGTERM drain (default: 30)")
+                            "during a SIGTERM drain (default: %(default)s)")
     serve.add_argument("--hot-capacity", type=int, default=4096,
-                       help="in-memory hot-cache entries (0 disables)")
+                       help="in-memory hot-cache entries "
+                            "(default: %(default)s; 0 disables)")
     serve.add_argument("--breaker-threshold", type=int, default=5,
                        help="consecutive executed-spec failures that "
-                            "trip the engine circuit breaker")
+                            "trip the engine circuit breaker "
+                            "(default: %(default)s)")
     serve.add_argument("--breaker-recovery", type=int, default=3,
                        help="reference-engine successes before probing "
-                            "the configured engine again")
+                            "the configured engine again "
+                            "(default: %(default)s)")
     return parser
 
 
@@ -767,29 +782,35 @@ def _cmd_lint(args):
     return _render_lint(args, report), code
 
 
+def _serve_config(args):
+    """The :class:`~repro.service.ServiceConfig` of ``repro serve``'s
+    parsed options."""
+    from .service import AdmissionLimits, ServiceConfig
+    return ServiceConfig(
+        host=args.host, port=args.port, jobs=args.jobs,
+        engine=args.engine, slots=args.slots,
+        batch_size=args.batch_size, retries=args.retries,
+        timeout_s=args.timeout,
+        limits=AdmissionLimits(
+            max_pending_specs=args.max_pending,
+            max_requests=args.max_requests,
+            max_tenant_pending=args.max_tenant_pending,
+            retry_after_s=args.retry_after),
+        default_deadline_s=args.deadline,
+        drain_grace_s=args.drain_grace,
+        cache_dir=Path(args.cache_dir) if args.cache_dir else None,
+        hot_capacity=args.hot_capacity, resume=args.resume,
+        breaker_threshold=args.breaker_threshold,
+        breaker_recovery=args.breaker_recovery)
+
+
 def _cmd_serve(args):
     """Run the sweep service until SIGTERM/SIGINT drains it."""
     import asyncio
 
-    from .service import (AdmissionLimits, ReproService, ServiceConfig,
-                          serve)
+    from .service import ReproService, serve
     try:
-        config = ServiceConfig(
-            host=args.host, port=args.port, jobs=args.jobs,
-            engine=args.engine, slots=args.slots,
-            batch_size=args.batch_size, retries=args.retries,
-            timeout_s=args.timeout,
-            limits=AdmissionLimits(
-                max_pending_specs=args.max_pending,
-                max_requests=args.max_requests,
-                max_tenant_pending=args.max_tenant_pending,
-                retry_after_s=args.retry_after),
-            default_deadline_s=args.deadline,
-            drain_grace_s=args.drain_grace,
-            cache_dir=Path(args.cache_dir) if args.cache_dir else None,
-            hot_capacity=args.hot_capacity, resume=args.resume,
-            breaker_threshold=args.breaker_threshold,
-            breaker_recovery=args.breaker_recovery)
+        config = _serve_config(args)
     except ValueError as error:
         raise SystemExit(str(error)) from error
     service = ReproService(config)

@@ -279,9 +279,9 @@ def find_children(dag: SpecDAG, node_id: int) -> List[int]:
 def group_key(spec: RunSpec) -> Tuple:
     """The compile-once vector-engine coordinate of one spec.
 
-    Matches the grouping the executor's whole-grid precompute uses
-    (``(spec_coords, mode, carveout)``): all specs sharing it replay
-    from one compiled tape.
+    Matches the executor's coordinate cell (``(spec_coords, mode,
+    carveout)``): all specs sharing it replay from one compiled tape
+    (the whole-grid precompute compiles it once per seed family).
     """
     return (spec_coords(spec), getattr(spec.mode, "value", spec.mode),
             spec.smem_carveout_bytes)

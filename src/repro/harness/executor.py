@@ -1550,13 +1550,14 @@ class SweepExecutor:
     # Whole-grid precompute (analytic engine; on a worker when isolated)
     # ------------------------------------------------------------------
     def _precompute_grid(self, specs: Sequence[RunSpec]) -> None:
-        """Compile each program structure once and replay every spec.
+        """Compile each family's program structures once; replay every spec.
 
-        Specs sharing ``(coords, mode, carveout)`` form a coordinate
-        cell with one compiled tape; the phase memo is batch-warmed
-        across every cell in one array program before any compile
-        runs.  Cells sharing ``(workload, mode, base_seed, seed_salt)``
-        and varying along at most one sensitivity axis form a family:
+        Specs sharing ``(workload, mode, base_seed, seed_salt)`` form
+        a seed family, and the family's specs sharing ``(coords, mode,
+        carveout)`` form a coordinate cell with one compiled tape; the
+        phase memo is batch-warmed across every distinct cell in one
+        array program before any compile runs.  A family's cells
+        varying along at most one sensitivity axis fuse:
         one compile per cell (siblings derived from the head cell's
         tape when the program structure matches), one classifier proof
         and one vectorized replay for the whole family
@@ -1574,27 +1575,29 @@ class SweepExecutor:
         calib = self.calib or default_calibration()
         memo = self._phase_memo
         kernel_sim = memo.simulate if memo is not None else None
-        groups: Dict[Tuple, List[RunSpec]] = {}
+        # Cells split by seed family: a batch may hold the same
+        # coordinates under several base seeds (two served requests),
+        # and a fused replay draws one stream per iteration.
+        families: Dict[Tuple, Dict[Tuple, List[RunSpec]]] = {}
+        cell_heads: Dict[Tuple, RunSpec] = {}
         for spec in specs:
             group_key = (spec_coords(spec), spec.mode,
                          spec.smem_carveout_bytes)
-            groups.setdefault(group_key, []).append(spec)
+            fam_key = (spec.workload, spec.mode, spec.base_seed,
+                       spec.seed_salt)
+            families.setdefault(fam_key, {}).setdefault(
+                group_key, []).append(spec)
+            cell_heads.setdefault(group_key, spec)
         try:
             if memo is not None:
                 # One cross-group batch: every phase cell the whole
                 # sweep will request, evaluated in a single vectorized
                 # pass before any compile runs.
                 cells: List[Tuple] = []
-                for (_, mode, carveout), members in groups.items():
-                    cells.extend(iter_phase_cells(program_for(members[0]),
+                for (_, mode, carveout), spec0 in cell_heads.items():
+                    cells.extend(iter_phase_cells(program_for(spec0),
                                                   mode, carveout, system))
                 prewarm_phase_memo(memo, cells)
-            families: Dict[Tuple, Dict[Tuple, List[RunSpec]]] = {}
-            for group_key, members in groups.items():
-                spec0 = members[0]
-                fam_key = (spec0.workload, spec0.mode, spec0.base_seed,
-                           spec0.seed_salt)
-                families.setdefault(fam_key, {})[group_key] = members
             for cell_map in families.values():
                 for run in _axis_split(cell_map):
                     # Compile every cell of the axis run; siblings with

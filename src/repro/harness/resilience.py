@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import enum
 import json
-import logging
 import os
 import time
 from dataclasses import dataclass, field
@@ -42,8 +41,6 @@ from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple,
                     Union)
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 #: :meth:`SweepJournal.record_many` item defaults past ``(key, status)``.
 _ITEM_DEFAULTS = (None, None, None, 0, None, None)
@@ -367,6 +364,10 @@ class SweepJournal:
                 record = json.loads(line)
             except json.JSONDecodeError:
                 self.last_salvaged += 1
+                # Resolved here: the salvage path is the only user of
+                # logging, which every CLI start would otherwise import.
+                import logging
+                logger = logging.getLogger(__name__)
                 if lineno == len(lines):
                     logger.warning(
                         "journal %s: salvaged truncated final line "

@@ -175,11 +175,14 @@ class FairShareScheduler:
     ``(job, outcome)`` pairs, before any waiter on those jobs resumes.
     Drained jobs reach only ``on_settle``: their journal stays
     ``pending``.
+
+    ``batch_size`` and ``slots`` have no defaults here: the service's
+    come from :class:`~repro.service.server.ServiceConfig`.
     """
 
     def __init__(self, execute_batch: ExecuteBatch,
-                 breaker: Optional[CircuitBreaker] = None,
-                 batch_size: int = 8, slots: int = 2,
+                 breaker: Optional[CircuitBreaker] = None, *,
+                 batch_size: int, slots: int,
                  on_settle: Optional[SettleHook] = None,
                  on_settle_many: Optional[SettleManyHook] = None):
         if batch_size < 1:

@@ -78,11 +78,14 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     port: int = 8023
     #: Batch-executor shape: ``jobs`` workers per batch, ``slots``
-    #: concurrent batches, up to ``batch_size`` specs per batch.
+    #: concurrent batches, up to ``batch_size`` specs per batch. 64
+    #: holds a 25-30-spec grid request whole (one worker task), with
+    #: room for two tenants' requests to share the batch
+    #: (docs/PERFORMANCE.md, "One served request, one batch").
     jobs: int = 1
     engine: str = DEFAULT_ENGINE
     slots: int = 2
-    batch_size: int = 8
+    batch_size: int = 64
     retries: int = 1
     timeout_s: Optional[float] = 30.0
     limits: AdmissionLimits = field(default_factory=AdmissionLimits)

@@ -90,15 +90,19 @@ class WeightStream:
     """One network's weight generator, shared by its weighted layers.
 
     Layers register in build order and hold no weights until one of
-    them is read. That first read draws every registered layer's matrix
-    in registration order, so the values are exactly those of drawing
-    each layer eagerly from the generator as it was built. A layer
-    whose weights were assigned first still has its matrix drawn (and
+    them is read. That first read seeds the generator and draws every
+    registered layer's matrix in registration order, so the values are
+    exactly those of drawing each layer eagerly from
+    ``np.random.default_rng(seed)`` as it was built. A layer whose
+    weights were assigned first still has its matrix drawn (and
     discarded), which keeps every other layer's values unchanged.
+    Creating the generator on first read keeps a shape-only network
+    (program lowering, fingerprints) from loading ``numpy.random``.
     """
 
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
+    def __init__(self, seed: int):
+        self._seed = seed
+        self._rng: Optional[np.random.Generator] = None
         self._pending: List[WeightedLayer] = []
         self._lock = threading.Lock()
 
@@ -108,6 +112,8 @@ class WeightStream:
     def materialize(self) -> None:
         """Draw every registered layer's weights not drawn yet."""
         with self._lock:
+            if self._pending and self._rng is None:
+                self._rng = np.random.default_rng(self._seed)
             for layer in self._pending:
                 drawn = layer.draw_weights(self._rng)
                 if layer._weights is None:

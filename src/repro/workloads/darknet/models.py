@@ -7,11 +7,12 @@ per-layer gemm characterization) do not depend on trained weights.
 
 Weights are drawn lazily on first use, in build order: a built network
 is shape-only, so lowering it to a simulator program (and
-fingerprinting that program) allocates no weight matrix. The first
-read of any layer's weights - from ``forward``, a workload's
-``reference()`` or ``save_weights`` - draws the whole network from its
-one seeded generator (:class:`~.layers.WeightStream`), giving the same
-values an eager draw at build time would.
+fingerprinting that program) allocates no weight matrix and creates no
+generator. The first read of any layer's weights - from ``forward``, a
+workload's ``reference()`` or ``save_weights`` - seeds the network's
+one generator (:class:`~.layers.WeightStream`) and draws the whole
+network from it, giving the same values an eager draw at build time
+would.
 
 Residual blocks with downsampling are expressed with an explicit 1x1
 projection convolution re-exposed to the shortcut through a
@@ -22,8 +23,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from typing import List, Optional, Tuple
-
-import numpy as np
 
 from .layers import (AvgPoolLayer, ConnectedLayer, ConvLayer, Layer,
                      MaxPoolLayer, RouteLayer, ShortcutLayer, SoftmaxLayer,
@@ -50,10 +49,10 @@ DETECTION_CHANNELS = 3 * (5 + COCO_CLASSES)  # 255
 class _Builder:
     """Accumulates layers and tracks indices/channels while building."""
 
-    def __init__(self, in_channels: int, rng: np.random.Generator):
+    def __init__(self, in_channels: int, seed: int):
         self.layers: List[Layer] = []
         self.channels = in_channels
-        self.weights = WeightStream(rng)
+        self.weights = WeightStream(seed)
 
     @property
     def last(self) -> int:
@@ -149,8 +148,7 @@ def _resnet_stem(b: _Builder) -> None:
 @lru_cache(maxsize=8)
 def build_resnet18(input_size: int = 256, seed: int = 18) -> Network:
     """Residual network with 18 convolution layers (darknet resnet18)."""
-    rng = np.random.default_rng(seed)
-    b = _Builder(3, rng)
+    b = _Builder(3, seed)
     _resnet_stem(b)
     for channels, count, downsample in ((64, 2, False), (128, 2, True),
                                         (256, 2, True), (512, 2, True)):
@@ -165,8 +163,7 @@ def build_resnet18(input_size: int = 256, seed: int = 18) -> Network:
 @lru_cache(maxsize=8)
 def build_resnet50(input_size: int = 256, seed: int = 50) -> Network:
     """Residual network with 50 convolution layers (darknet resnet50)."""
-    rng = np.random.default_rng(seed)
-    b = _Builder(3, rng)
+    b = _Builder(3, seed)
     _resnet_stem(b)
     for width, out_channels, count, downsample in (
             (64, 256, 3, False), (128, 512, 4, True),
@@ -195,8 +192,7 @@ def build_yolov3(input_size: int = 416, seed: int = 3) -> Network:
     """YOLOv3 on the darknet-53 backbone (106-layer graph)."""
     if input_size % 32:
         raise ValueError("yolov3 input size must be a multiple of 32")
-    rng = np.random.default_rng(seed)
-    b = _Builder(3, rng)
+    b = _Builder(3, seed)
     # Backbone.
     b.conv(32, ksize=3)
     stage_tails = {}
@@ -256,8 +252,7 @@ def build_yolov3_tiny(input_size: int = 416, seed: int = 13) -> Network:
     """YOLOv3-tiny (the 24-layer cfg)."""
     if input_size % 32:
         raise ValueError("yolov3-tiny input size must be a multiple of 32")
-    rng = np.random.default_rng(seed)
-    b = _Builder(3, rng)
+    b = _Builder(3, seed)
     b.conv(16, ksize=3)
     b.maxpool()
     b.conv(32, ksize=3)

@@ -153,6 +153,23 @@ class TestFigureGrids:
         assert compared == len(MODES) * 2 * 2  # 2 edges x 2 iterations
 
 
+class TestMixedSeedBatches:
+    """A served batch can hold one grid under several base seeds (two
+    tenants' requests), interleaved spec by spec."""
+
+    @pytest.mark.parametrize("salts", [("", ""), ("", ":sweep")],
+                             ids=["base-seeds", "base-seeds-and-salts"])
+    def test_interleaved_seeds_replay_bitwise(self, salts):
+        grids = [expand_grid(["vector_seq", "hotspot"], [SizeClass.LARGE],
+                             iterations=3, base_seed=seed, seed_salt=salt)
+                 for seed, salt in zip((63, 64), salts)]
+        specs = [spec for pair in zip(*grids) for spec in pair]
+        fused_exec, fused = sweep(specs, "vector")
+        _, scalar = sweep(specs, "reference")
+        assert fused == scalar
+        assert fused_exec.last.grid_specs == len(specs)
+
+
 class TestRerouteTiers:
     def test_schedule_divergence_fuses_per_cell_and_stays_bitwise(self):
         """Fig. 4's saxpy/uvm size axis settles its migration trains at

@@ -12,6 +12,7 @@ import asyncio
 import json
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -19,11 +20,17 @@ import pytest
 from repro.harness import executor as executor_module
 from repro.harness.executor import SweepExecutor
 from repro.harness.resilience import SweepJournal
+from repro.service import ServiceConfig
 
 from .harness import (grid_specs, live_service, response_records,
                       serial_records, sweep)
 
 MODES = ["standard", "async", "uvm", "uvm_prefetch", "uvm_prefetch_async"]
+
+#: The batch executor's shape at the ``repro serve`` defaults.
+DEFAULTS = {name: getattr(ServiceConfig(), name)
+            for name in ("jobs", "slots", "batch_size", "retries",
+                         "timeout_s")}
 
 
 def request_grid(base_seed):
@@ -139,6 +146,69 @@ class TestGridRunsInAWorker:
                  - before["worker_pools"]["tasks"])
         assert batches == 4  # 25 specs at batch_size=8: 8 + 8 + 8 + 1
         assert tasks <= 4
+
+    def test_a_miss_is_one_batch_at_the_defaults(self, tmp_path):
+        async def scenario():
+            async with live_service(tmp_path, **DEFAULTS) as service:
+                before = service.snapshot()
+                status, _, _ = await sweep(service.port, "alice",
+                                           grid=request_grid(62))
+                after = service.snapshot()
+            return status, before, after
+
+        status, before, after = asyncio.run(scenario())
+        assert status == 200
+        assert (after["scheduler"]["batches"]
+                - before["scheduler"]["batches"]) == 1
+        assert (after["worker_pools"]["tasks"]
+                - before["worker_pools"]["tasks"]) <= 1
+
+    def test_two_tenants_interleave_inside_one_batch(self, tmp_path):
+        """Two 25-spec grids queued together share one batch at the
+        default bound, alternating tenant by tenant."""
+        grids = {"alice": request_grid(63), "bob": request_grid(64)}
+        tenant_of = {grid["base_seed"]: tenant
+                     for tenant, grid in grids.items()}
+        gate = threading.Event()
+        batches = []
+
+        async def scenario():
+            async with live_service(tmp_path, **DEFAULTS) as service:
+                execute = service.scheduler.execute_batch
+
+                def gated(specs, engine):
+                    batches.append([tenant_of.get(spec.base_seed, "plug")
+                                    for spec in specs])
+                    gate.wait(30)
+                    return execute(specs, engine)
+
+                service.scheduler.execute_batch = gated
+                # One single-spec request per slot holds both slots, so
+                # the two grids queue before any batch is assembled.
+                plugs = [asyncio.ensure_future(sweep(
+                    service.port, "ops",
+                    grid=dict(request_grid(seed), modes=["standard"],
+                              iterations=1)))
+                    for seed in (65, 66)]
+                while len(batches) < DEFAULTS["slots"]:
+                    await asyncio.sleep(0.01)
+                requests = [asyncio.ensure_future(
+                    sweep(service.port, tenant, grid=grid))
+                    for tenant, grid in grids.items()]
+                while service.scheduler.queued_jobs() < 50:
+                    await asyncio.sleep(0.01)
+                gate.set()
+                await asyncio.gather(*plugs)
+                return await asyncio.gather(*requests)
+
+        responses = asyncio.run(scenario())
+        for (tenant, grid), (status, _, payload) in zip(grids.items(),
+                                                         responses):
+            assert status == 200, tenant
+            assert response_records(payload) == \
+                serial_records(grid_specs(grid))
+        assert batches[:2] == [["plug"], ["plug"]]
+        assert batches[2:] == [["alice", "bob"] * 25]
 
 
 # ----------------------------------------------------------------------

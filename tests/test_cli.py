@@ -1,9 +1,11 @@
 """CLI tests (``python -m repro``)."""
 
+import re
+
 import pytest
 
 from repro.cli import (ARTIFACT_NAMES, COMMANDS, FABRIC_STRUCTURES,
-                       build_parser, main)
+                       _serve_config, build_parser, main)
 from repro.core.execution import DEFAULT_ENGINE
 
 
@@ -267,6 +269,27 @@ class TestParser:
             assert parser.parse_args(["artifact", script]).script == script
         assert FABRIC_STRUCTURES == tuple(STRUCTURES)
         assert ARTIFACT_NAMES == tuple(sorted(ARTIFACT_SCRIPTS))
+
+    def test_serve_defaults_are_the_service_config(self):
+        """``repro serve`` spells out ServiceConfig's and
+        AdmissionLimits' defaults (building the parser imports no
+        ``repro.service``); each must equal its field, and its help
+        must state it."""
+        from repro.service import ServiceConfig
+        parser = build_parser()
+        assert _serve_config(parser.parse_args(["serve"])) == ServiceConfig()
+        serve = next(action for action in parser._actions
+                     if action.dest == "command").choices["serve"]
+        stated = 0
+        for action in serve._actions:
+            if action.dest == "help" or action.default is None \
+                    or action.default is False:
+                continue
+            text = action.help % dict(vars(action), prog=serve.prog)
+            assert re.search(rf"\(default: {re.escape(str(action.default))}"
+                             r"[);]", text), (action.dest, text)
+            stated += 1
+        assert stated == 16
 
 
 class TestRoofline:

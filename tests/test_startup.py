@@ -52,6 +52,37 @@ def fresh(code: str) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def test_import_cli_loads_no_logging_and_no_service():
+    """Only the journal's salvage path logs, and it imports ``logging``
+    itself; the ``serve`` parser spells its defaults out."""
+    out = fresh("import json, sys\n"
+                "from repro.cli import build_parser\n"
+                "build_parser()\n"
+                "print(json.dumps(sorted(sys.modules)))")
+    assert "logging" not in out
+    assert "string" not in out
+    assert not any(m.startswith("repro.service") for m in out)
+
+
+def test_warm_figure_8_pass_leaves_numpy_random_unloaded(tmp_path):
+    """A warm pass builds the darknet networks only to fingerprint
+    them; their weight generators are created on the first weight
+    read, which a cache hit never makes."""
+    run = ("import contextlib, io, json, sys\n"
+           "from repro.cli import main\n"
+           "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+           "        contextlib.redirect_stderr(io.StringIO()):\n"
+           "    code = main(['figure', '8', '--iterations', '1',\n"
+           "                 '--jobs', '1',\n"
+           f"                 '--cache-dir', {str(tmp_path)!r}])\n"
+           "print(json.dumps({'code': code, 'modules': sorted(sys.modules)}))")
+    cold = fresh(run)
+    warm = fresh(run)
+    assert cold["code"] == warm["code"] == 0
+    assert "numpy.random" in cold["modules"]  # the cold pass simulated
+    assert not any(m.startswith("numpy.random") for m in warm["modules"])
+
+
 def test_import_repro_loads_only_the_root():
     names = fresh("import json, sys, repro\n"
                   "print(json.dumps(sorted(n for n in sys.modules\n"
