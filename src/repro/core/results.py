@@ -40,25 +40,38 @@ class RunResult:
                 raise ValueError(f"{name} must be >= 0")
 
     @classmethod
-    def replayed(cls, fields: Dict[str, object]) -> "RunResult":
+    def replayed(cls, workload: str, mode: TransferMode, size: str,
+                 seed: int, alloc_ns: float, memcpy_ns: float,
+                 kernel_ns: float, wall_ns: float, counters: CounterReport,
+                 occupancy: float, gpu_busy_fraction: float) -> "RunResult":
         """Construct from already-validated fields (batch-replay path).
 
         The frozen-dataclass ``__init__`` pays one guarded
         ``object.__setattr__`` per field plus the ``__post_init__``
         range checks — an order of magnitude more than the arithmetic
-        a vectorized replay spends per run.  Batched replays validate
-        the same invariants out-of-band (the caller range-checks the
-        timing fields before calling), so this path installs the field
-        dict directly.  ``fields`` must contain exactly the dataclass
-        fields, in field order.
+        a vectorized replay spends per run.  Batched replays and cache
+        pack decodes validate the same invariants out-of-band (the
+        caller range-checks the timing fields before calling), so this
+        path stores every field (all of them, in field order) straight
+        into the instance dict.
         """
         self = object.__new__(cls)
         # One attribute set first makes CPython (3.11+) give the
-        # instance the class's shared-key dict, which the update then
-        # fills in field order: a result the hot cache or a figure
+        # instance the class's shared-key dict, which the stores below
+        # fill in field order: a result the hot cache or a figure
         # holds costs ~240 bytes instead of ~530.
-        object.__setattr__(self, "workload", fields["workload"])
-        self.__dict__.update(fields)
+        object.__setattr__(self, "workload", workload)
+        fields = self.__dict__
+        fields["mode"] = mode
+        fields["size"] = size
+        fields["seed"] = seed
+        fields["alloc_ns"] = alloc_ns
+        fields["memcpy_ns"] = memcpy_ns
+        fields["kernel_ns"] = kernel_ns
+        fields["wall_ns"] = wall_ns
+        fields["counters"] = counters
+        fields["occupancy"] = occupancy
+        fields["gpu_busy_fraction"] = gpu_busy_fraction
         return self
 
     @property

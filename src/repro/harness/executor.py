@@ -71,7 +71,7 @@ from . import faults
 from .resilience import (DEFAULT_RETRY_POLICY, RetryPolicy, SpecOutcome,
                          SpecStatus, SweepFailure, SweepInterrupted,
                          SweepJournal, SweepOutcome)
-from .store import Pack, runs_to_pack
+from .store import pack_runs, runs_to_pack
 
 #: Bump when the simulator's semantics change in ways the hashed inputs
 #: (program structure, hardware spec, calibration constants) cannot
@@ -256,6 +256,16 @@ def expand_grid(workloads: Sequence[str],
 # ----------------------------------------------------------------------
 # Content-addressed cache keys
 # ----------------------------------------------------------------------
+#: Per type: the field names ``canonical`` walks for a dataclass
+#: instance, ``None`` for any other value.  ``dataclasses.fields`` and
+#: ``is_dataclass`` then run once per type, not once per node.
+_CANONICAL_FIELDS: Dict[type, Optional[Tuple[str, ...]]] = {}
+
+#: Values ``canonical`` returns as they are (exact types only: an enum
+#: that subclasses ``int`` or ``str`` still canonicalizes to its value).
+_CANONICAL_PLAIN = frozenset((str, int, float, bool, type(None)))
+
+
 def canonical(obj):
     """Recursively normalize a value into a JSON-stable structure.
 
@@ -263,10 +273,20 @@ def canonical(obj):
     different spec types with the same field values cannot collide;
     enums become their value; dicts are sorted by stringified key.
     """
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        out = {"__type__": type(obj).__name__}
-        for f in dataclasses.fields(obj):
-            out[f.name] = canonical(getattr(obj, f.name))
+    cls = type(obj)
+    if cls in _CANONICAL_PLAIN:
+        return obj
+    try:
+        names = _CANONICAL_FIELDS[cls]
+    except KeyError:
+        names = _CANONICAL_FIELDS[cls] = (
+            tuple(f.name for f in dataclasses.fields(obj))
+            if dataclasses.is_dataclass(obj) and not isinstance(obj, type)
+            else None)
+    if names is not None:
+        out = {"__type__": cls.__name__}
+        for name in names:
+            out[name] = canonical(getattr(obj, name))
         return out
     if isinstance(obj, enum.Enum):
         return canonical(obj.value)
@@ -474,11 +494,12 @@ class ResultCache:
 
     Layout: ``<root>/<key[:2]>/<key>.json``, one directory entry per
     key. An entry is a hard link to a *pack* (:func:`~repro.harness.
-    store.runs_to_pack`): the store-schema records of every key
-    published together, with each distinct per-kernel counter list
-    (the Fig. 9/10 payload) stored once. A sweep family — the specs
-    that differ only in ``iteration`` — publishes as one pack, so a
-    cold pass makes one new file per family, not per spec. Packs are
+    store.runs_to_pack`): the runs of every key published together, as
+    columns plus one float64 block, with each distinct per-kernel
+    counter list (the Fig. 9/10 payload) stored once. A sweep family —
+    the specs that differ only in ``iteration`` — publishes as one
+    pack, so a cold pass makes one new file per family, not per spec,
+    and a warm pass decodes it once, straight to results. Packs are
     written to a temp file and linked into place, so concurrent
     workers and interrupted sweeps can never publish a torn record;
     corrupt or unreadable entries degrade to cache misses and are
@@ -494,7 +515,7 @@ class ResultCache:
         # (st_dev, st_ino, st_size, st_mtime_ns) of the last pack
         # decoded, and its decode: sibling keys of one pack are read
         # back to back, and all share the one decode.
-        self._memo: Optional[Tuple[Tuple, Pack]] = None
+        self._memo: Optional[Tuple[Tuple, Dict[str, RunResult]]] = None
 
     def path_for(self, key: str) -> Path:
         return Path(self._entry(key))
@@ -526,12 +547,13 @@ class ResultCache:
             return None
         try:
             if pack is None:
-                pack = Pack(json.loads(data))
+                pack = pack_runs(json.loads(data))
                 self._memo = (stamp, pack)
-            run = pack.run(key)
+            run = pack[key]
         except (ValueError, KeyError, TypeError):
             # The entry exists but cannot be parsed (torn write, stale
-            # schema, bit rot, a pack without this key): quarantine it
+            # schema, bit rot, a pack without this key or whose row for
+            # it fails a check): quarantine it
             # to <key>.corrupt so the re-executed run can publish a
             # clean record, and count it separately from ordinary
             # misses. Two readers can race to quarantine the same
@@ -1252,19 +1274,21 @@ class SweepExecutor:
                 self.journal.clear()  # fresh sweep, fresh checkpoint
 
             # Cache pass.  The fault plan is read once per sweep: with
-            # none installed, no read can meet an injected fault.
+            # none installed, no read can meet an injected fault.  A hit
+            # settles in place (no journal or cache write, no strict
+            # check can fire), in spec order.
             plan = faults.active_plan()
             if self.cache is not None:
                 for index, spec in enumerate(specs):
                     if outcomes[index] is not None:
                         continue
-                    hit = self._cache_get(spec, keys[index], plan)
+                    key = keys[index]
+                    hit = self._cache_get(spec, key, plan)
                     if hit is not None:
-                        self._settle(SpecOutcome(
-                            spec=spec, index=index, status=SpecStatus.OK,
-                            result=hit, from_cache=True, key=keys[index]),
-                            outcomes, total, strict,
-                            journal=False, store=False)
+                        outcomes[index] = SpecOutcome.settled_ok(
+                            spec, index, hit, key, from_cache=True)
+                        self._done += 1
+                        self._tick(self._done, total, spec)
 
             pending = [(index, spec, keys[index])
                        for index, spec in enumerate(specs)
@@ -1550,13 +1574,14 @@ class SweepExecutor:
     # Whole-grid precompute (analytic engine; on a worker when isolated)
     # ------------------------------------------------------------------
     def _precompute_grid(self, specs: Sequence[RunSpec]) -> None:
-        """Compile each family's program structures once; replay every spec.
+        """Compile each cell's program structure once; replay every spec.
 
         Specs sharing ``(workload, mode, base_seed, seed_salt)`` form
         a seed family, and the family's specs sharing ``(coords, mode,
-        carveout)`` form a coordinate cell with one compiled tape; the
-        phase memo is batch-warmed across every distinct cell in one
-        array program before any compile runs.  A family's cells
+        carveout)`` form a coordinate cell.  Each cell compiles one
+        tape, shared by every family that holds the cell; the phase
+        memo is batch-warmed across every distinct cell in one array
+        program before any compile runs.  A family's cells
         varying along at most one sensitivity axis fuse:
         one compile per cell (siblings derived from the head cell's
         tape when the program structure matches), one classifier proof
@@ -1598,6 +1623,15 @@ class SweepExecutor:
                     cells.extend(iter_phase_cells(program_for(spec0),
                                                   mode, carveout, system))
                 prewarm_phase_memo(memo, cells)
+            # A cell's tape does not depend on the seed: a cell held by
+            # several families (one grid under two base seeds) compiles
+            # once, and only its draws differ per family.  Only those
+            # cells' tapes outlive their family's replay.
+            held: Dict[Tuple, int] = {}
+            for cell_map in families.values():
+                for group_key in cell_map:
+                    held[group_key] = held.get(group_key, 0) + 1
+            tapes: Dict[Tuple, object] = {}
             for cell_map in families.values():
                 for run in _axis_split(cell_map):
                     # Compile every cell of the axis run; siblings with
@@ -1606,9 +1640,13 @@ class SweepExecutor:
                     fused_cells = []  # (group_key, members, compiled)
                     head = None       # (compiled, structure_key)
                     for group_key, members in run:
+                        compiled = tapes.get(group_key)
+                        if compiled is not None:
+                            fused_cells.append((group_key, members,
+                                                compiled))
+                            continue
                         (_, mode, carveout) = group_key
                         program = program_for(members[0])
-                        compiled = None
                         try:
                             if (head is not None
                                     and program_structure_key(program)
@@ -1627,6 +1665,8 @@ class SweepExecutor:
                                             program_structure_key(program))
                         except Exception:
                             continue  # per-spec path handles this cell
+                        if held[group_key] > 1:
+                            tapes[group_key] = compiled
                         self._grid_groups += 1
                         fused_cells.append((group_key, members, compiled))
                     if not fused_cells:
@@ -1809,12 +1849,9 @@ class SweepExecutor:
                                or k < 0.0 or w < 0.0):
                     invalid += 1
                     continue
-                grid[spec] = replayed({
-                    "workload": name, "mode": spec.mode,
-                    "size": spec.size, "seed": spec.iteration,
-                    "alloc_ns": a, "memcpy_ns": m, "kernel_ns": k,
-                    "wall_ns": w, "counters": counters,
-                    "occupancy": occupancy, "gpu_busy_fraction": busy[i]})
+                grid[spec] = replayed(name, spec.mode, spec.size,
+                                      spec.iteration, a, m, k, w, counters,
+                                      occupancy, busy[i])
         if invalid:
             self._count_reroute("residual-guard", invalid)
 

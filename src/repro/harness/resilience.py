@@ -102,18 +102,21 @@ class SpecOutcome:
 
     @classmethod
     def settled_ok(cls, spec: "RunSpec", index: int, result: "RunResult",
-                   key: Optional[str]) -> "SpecOutcome":
+                   key: Optional[str],
+                   from_cache: bool = False) -> "SpecOutcome":
         """Bulk-settle fast path: an OK outcome in one dict install.
 
-        The executor publishes hundreds of precomputed grid hits in one
-        loop; this skips the generated ``__init__``'s per-field
-        default handling.  Field set must mirror the dataclass.
+        The executor settles hundreds of precomputed grid results or
+        cache hits in one loop; this skips the generated
+        ``__init__``'s per-field default handling.  A computed result
+        took one attempt, a cache hit none.  Field set must mirror the
+        dataclass.
         """
         self = cls.__new__(cls)
         self.__dict__.update(
             spec=spec, index=index, status=SpecStatus.OK, result=result,
-            error=None, traceback=None, attempts=1, crashes=0,
-            from_cache=False, key=key)
+            error=None, traceback=None, attempts=0 if from_cache else 1,
+            crashes=0, from_cache=from_cache, key=key)
         return self
 
     def describe(self) -> str:

@@ -9,7 +9,9 @@ consumes, so studies can be resumed, merged, and re-analyzed offline.
 
 from __future__ import annotations
 
+import binascii
 import json
+import struct
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -84,14 +86,27 @@ def run_to_record(run: RunResult, with_counters: bool = False) -> Dict:
     return record
 
 
-def record_to_run(record: Dict,
-                  counters: Optional[CounterReport] = None) -> RunResult:
+def _checked_mode(label, alloc_ns, memcpy_ns, kernel_ns, wall_ns
+                  ) -> TransferMode:
+    """Check a record's mode label and timings; return its mode.
+
+    The checks ``RunResult.__post_init__`` would make, shared by
+    :func:`record_to_run` and :func:`pack_runs`: an unknown mode label
+    or a negative timing raises ``ValueError`` (an unhashable label
+    ``TypeError``).
+    """
+    mode = _MODES[label] if label in _MODES else TransferMode.from_label(label)
+    if alloc_ns < 0 or memcpy_ns < 0 or kernel_ns < 0 or wall_ns < 0:
+        raise ValueError("negative timing in record")
+    return mode
+
+
+def record_to_run(record: Dict) -> RunResult:
     """Rebuild a :class:`RunResult` from a store record.
 
     Optional fields (``occupancy``, ``gpu_busy_fraction``,
     ``counters``) default to empty when missing, so records written by
-    older schema-1 stores still load. An explicit ``counters`` report
-    (a cache pack's shared decode) replaces the record's own field.
+    older schema-1 stores still load.
 
     Checks what ``RunResult.__post_init__`` would (non-negative
     timings) and then installs the fields through
@@ -100,43 +115,54 @@ def record_to_run(record: Dict,
     """
     if record.get("v") != SCHEMA_VERSION:
         raise ValueError(f"unsupported record version {record.get('v')!r}")
-    if counters is None:
-        entries = record.get("counters")
-        counters = (_counters_from_record(entries)
-                    if entries is not None else CounterReport())
-    label = record["mode"]
-    mode = _MODES[label] if label in _MODES else TransferMode.from_label(label)
+    entries = record.get("counters")
     alloc = record["alloc_ns"]
     memcpy = record["memcpy_ns"]
     kernel = record["kernel_ns"]
     wall = record["wall_ns"]
-    if alloc < 0 or memcpy < 0 or kernel < 0 or wall < 0:
-        raise ValueError("negative timing in record")
-    return RunResult.replayed({
-        "workload": record["workload"],
-        "mode": mode,
-        "size": record["size"],
-        "seed": record["seed"],
-        "alloc_ns": alloc, "memcpy_ns": memcpy,
-        "kernel_ns": kernel, "wall_ns": wall,
-        "counters": counters,
-        "occupancy": record.get("occupancy", 0.0),
-        "gpu_busy_fraction": record.get("gpu_busy_fraction", 0.0),
-    })
+    return RunResult.replayed(
+        record["workload"],
+        _checked_mode(record["mode"], alloc, memcpy, kernel, wall),
+        record["size"], record["seed"], alloc, memcpy, kernel, wall,
+        (_counters_from_record(entries)
+         if entries is not None else CounterReport()),
+        record.get("occupancy", 0.0), record.get("gpu_busy_fraction", 0.0))
+
+
+#: Layout version of a result-cache pack.  A pack of any other version
+#: (the JSON-record packs of version 1 among them) is a stale schema:
+#: it reads as corrupt, and the cache re-simulates and re-publishes it.
+PACK_VERSION = 2
+
+#: The :class:`RunResult` fields of a pack's float64 block, in block
+#: order (field-major: all of a pack's ``alloc_ns``, then all of its
+#: ``memcpy_ns``, ...).
+PACK_FLOATS = ("alloc_ns", "memcpy_ns", "kernel_ns", "wall_ns",
+               "occupancy", "gpu_busy_fraction")
 
 
 def runs_to_pack(items: Iterable[Tuple[str, RunResult]]) -> Dict:
-    """Serialize keyed runs as one result-cache pack.
+    """Serialize keyed runs as one result-cache pack (columns).
 
-    ``{"counters": [<kernel-entry lists>], "records": {key: record}}``:
-    each record is :func:`run_to_record` with ``"counters"`` replaced by
-    an index into the pack's list, so a counter report shared by many
-    runs (every iteration of a sweep family) is stored once. Reports
-    are matched by identity, then equality.
+    ``{"v": 2, "keys": [...], "workload": [...], "mode": [...],
+    "size": [...], "seed": [...], "counters": [<kernel-entry lists>],
+    "counters_index": [...], "f8": "<base64>"}``: one list per
+    non-float field with one row per key, and the :data:`PACK_FLOATS`
+    fields as one little-endian float64 block of ``6 x n`` values,
+    base64-encoded.  The block round-trips every float's bits exactly
+    (``-0.0``, subnormals, infinities and NaN payloads included); the
+    engines write Python ``float``s to these fields, and any other
+    real number is stored as its ``float``.
+
+    A counter report shared by many runs (every iteration of a sweep
+    family) is stored once in ``counters`` and referenced by its index;
+    reports are matched by identity, then equality.
     """
+    items = list(items)
+    runs = [run for _, run in items]
     reports: List[CounterReport] = []
-    records: Dict[str, Dict] = {}
-    for key, run in items:
+    indices: List[int] = []
+    for run in runs:
         counters = run.counters
         for index, seen in enumerate(reports):
             if seen is counters or seen == counters:
@@ -144,38 +170,68 @@ def runs_to_pack(items: Iterable[Tuple[str, RunResult]]) -> Dict:
         else:
             index = len(reports)
             reports.append(counters)
-        record = run_to_record(run)
-        record["counters"] = index
-        records[key] = record
-    return {"counters": [_counters_to_record(report) for report in reports],
-            "records": records}
+        indices.append(index)
+    block = struct.pack(f"<{len(PACK_FLOATS) * len(runs)}d",
+                        *[getattr(run, name) for name in PACK_FLOATS
+                          for run in runs])
+    return {"v": PACK_VERSION, "keys": [key for key, _ in items],
+            "workload": [run.workload for run in runs],
+            "mode": [run.mode.value for run in runs],
+            "size": [run.size for run in runs],
+            "seed": [run.seed for run in runs],
+            "counters": [_counters_to_record(report) for report in reports],
+            "counters_index": indices,
+            "f8": binascii.b2a_base64(block, newline=False).decode("ascii")}
 
 
-class Pack:
-    """A decoded :func:`runs_to_pack` payload.
+def pack_runs(payload: Dict) -> Dict[str, RunResult]:
+    """Decode a :func:`runs_to_pack` payload: key -> result, every row.
+
+    Checks the pack's shape first (its version, equal column lengths,
+    a float block of ``6 x n`` values) and raises
+    ``ValueError``/``KeyError``/``TypeError`` when it is wrong: a bad
+    pack fails every key that reads it.  Then builds each row's
+    :class:`RunResult` in one pass, after the row checks
+    :func:`record_to_run` makes (known mode, non-negative timings)
+    and a valid counters index.  A row that fails them is left out of
+    the result, so it fails only its own key.
 
     Each counter list is decoded once into one :class:`CounterReport`,
-    shared by every run rebuilt from the pack (results treat counter
-    reports as immutable). Raises ``ValueError``/``KeyError``/
-    ``TypeError`` on a payload of the wrong shape.
+    shared by every run of the pack (results treat counter reports as
+    immutable).
     """
-
-    def __init__(self, payload: Dict):
-        self.records: Dict[str, Dict] = payload["records"]
-        self.reports = [_counters_from_record(entries)
-                        for entries in payload["counters"]]
-
-    def run(self, key: str) -> RunResult:
-        """The run stored under ``key`` (``KeyError`` when absent).
-
-        A bad record raises ``ValueError``/``KeyError``/``TypeError``
-        for its own key only.
-        """
-        record = self.records[key]
-        index = record["counters"]
-        if not isinstance(index, int) or not 0 <= index < len(self.reports):
-            raise ValueError(f"bad counters index {index!r}")
-        return record_to_run(record, counters=self.reports[index])
+    if payload["v"] != PACK_VERSION:
+        raise ValueError(f"stale pack version {payload['v']!r}")
+    keys = payload["keys"]
+    columns = (payload["workload"], payload["mode"], payload["size"],
+               payload["seed"], payload["counters_index"])
+    n = len(keys)
+    if any(len(column) != n for column in columns):
+        raise ValueError("pack columns differ in length")
+    width = len(PACK_FLOATS)
+    block = binascii.a2b_base64(payload["f8"])
+    if len(block) != 8 * width * n:
+        raise ValueError(f"pack float block holds {len(block)} bytes, "
+                         f"not {width} x {n} float64")
+    floats = struct.unpack(f"<{width * n}d", block)
+    reports = [_counters_from_record(entries)
+               for entries in payload["counters"]]
+    replayed = RunResult.replayed
+    runs: Dict[str, RunResult] = {}
+    for (key, workload, label, size, seed, index, alloc, memcpy, kernel,
+         wall, occupancy, busy) in zip(
+            keys, *columns,
+            *(floats[j * n:(j + 1) * n] for j in range(width))):
+        try:
+            mode = _checked_mode(label, alloc, memcpy, kernel, wall)
+            if not isinstance(index, int) or not 0 <= index < len(reports):
+                raise ValueError(f"bad counters index {index!r}")
+            runs[key] = replayed(workload, mode, size, seed, alloc, memcpy,
+                                 kernel, wall, reports[index], occupancy,
+                                 busy)
+        except (ValueError, TypeError):
+            continue  # this row's key reads as corrupt
+    return runs
 
 
 # Backwards-compatible private aliases (pre-executor callers).

@@ -169,6 +169,23 @@ class TestMixedSeedBatches:
         assert fused == scalar
         assert fused_exec.last.grid_specs == len(specs)
 
+    def test_two_seeds_share_each_cells_compile(self):
+        """A cell's tape does not depend on the seed: one grid under
+        two base seeds compiles each cell once, and each seed's results
+        equal that seed's own sweep."""
+        grids = [expand_grid(["gemm", "vector_seq"], [SizeClass.SUPER],
+                             iterations=5, base_seed=seed)
+                 for seed in (63, 64)]
+        specs = [spec for pair in zip(*grids) for spec in pair]
+        assert len(specs) == 100
+        mixed_exec, mixed = sweep(specs, "vector")
+        alone_exec, alone = sweep(grids[0], "vector")
+        assert alone_exec.last.grid_groups == 10
+        assert mixed_exec.last.grid_groups == 10
+        assert mixed_exec.last.grid_specs == len(specs)
+        assert mixed[0::2] == alone
+        assert mixed[1::2] == sweep(grids[1], "vector")[1]
+
 
 class TestRerouteTiers:
     def test_schedule_divergence_fuses_per_cell_and_stays_bitwise(self):

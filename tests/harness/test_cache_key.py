@@ -9,12 +9,14 @@ Three properties (hypothesis-driven where available):
 """
 
 import dataclasses
+import enum
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.configs import ALL_MODES, TransferMode
@@ -22,7 +24,10 @@ from repro.harness import executor as executor_module
 from repro.harness.executor import (ResultCache, RunSpec, SweepExecutor,
                                     cache_key, canonical,
                                     environment_fingerprint, fingerprint)
+from repro.sim.calibration import default_calibration
 from repro.sim.hardware import default_system
+from repro.workloads.registry import ALL_NAMES, get_workload
+from repro.workloads.sizes import SizeClass
 
 try:
     from hypothesis import given, settings
@@ -148,6 +153,73 @@ class TestCanonicalization:
         assert fingerprint(base) == fingerprint(default_system())
         assert fingerprint(base) != \
             fingerprint(base.with_uvm(page_bytes=64 * 1024))
+
+
+def reference_canonical(obj):
+    """The generic canonicalizer ``canonical`` must equal: every node
+    inspected afresh, with no per-type state."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        out = {"__type__": type(obj).__name__}
+        for f in dataclasses.fields(obj):
+            out[f.name] = reference_canonical(getattr(obj, f.name))
+        return out
+    if isinstance(obj, enum.Enum):
+        return reference_canonical(obj.value)
+    if isinstance(obj, dict):
+        return {str(reference_canonical(key)): reference_canonical(value)
+                for key, value in sorted(obj.items(),
+                                         key=lambda kv: str(kv[0]))}
+    if isinstance(obj, (list, tuple)):
+        return [reference_canonical(item) for item in obj]
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    raise TypeError(f"cannot canonicalize {type(obj).__name__}")
+
+
+def payload(canonicalize, obj):
+    return json.dumps(canonicalize(obj), sort_keys=True,
+                      separators=(",", ":"))
+
+
+class TestPerTypeCanonicalizer:
+    """``canonical`` caches each type's field names; the payload bytes
+    (and so every key) equal the generic walk's."""
+
+    @pytest.mark.parametrize("name", sorted(ALL_NAMES))
+    def test_every_workload_program_payload_is_unchanged(self, name):
+        workload = get_workload(name)
+        for size in SizeClass.ordered():
+            if workload.supports(size):
+                program = workload.program(size)
+                assert payload(canonical, program) == \
+                    payload(reference_canonical, program)
+
+    def test_environment_and_spec_payloads_are_unchanged(self):
+        for obj in (default_system(), default_calibration(), make_spec(),
+                    make_spec(smem_carveout_bytes=8192, seed_salt=":s")):
+            assert payload(canonical, obj) == \
+                payload(reference_canonical, obj)
+
+    def test_enum_subclassing_a_plain_type_still_canonicalizes(self):
+        class Level(enum.IntEnum):
+            HIGH = 3
+
+        class Label(str, enum.Enum):
+            A = "a"
+
+        @dataclasses.dataclass
+        class Node:
+            level: Level
+            label: Label
+            values: tuple
+
+        obj = {Label.A: Node(Level.HIGH, Label.A, (np.int64(2), 1.5, None))}
+        assert canonical(obj) == reference_canonical(obj)
+        assert payload(canonical, obj) == payload(reference_canonical, obj)
 
 
 class TestCrossProcessStability:

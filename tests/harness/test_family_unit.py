@@ -8,15 +8,19 @@ equals its per-spec reference, bit for bit.
   arithmetic and must equal numpy's ``PCG64(SeedSequence(...))``;
 * :meth:`SweepJournal.record_many` formats a family's lines from one
   template and must equal one ``json.dumps`` per item;
-* :meth:`Pack.run` validates each record as it decodes it, so one bad
-  record in a family pack fails only its key.
+* :func:`pack_runs` decodes a family pack's columns and float64 block
+  straight to results, bit for bit; one bad row fails only its key, a
+  bad pack (or a stale version-1 one) every key that reads it.
 
 Every test is deterministic: seeded ``random.Random`` draws, or
 Hypothesis under the derandomized ``ci`` profile.
 """
 
+import binascii
 import json
+import os
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -200,17 +204,48 @@ def make_run(iteration, alloc_ns=10.0):
                      gpu_busy_fraction=0.25)
 
 
+def read_pack(path):
+    """A pack file as (payload, its float block as a field-major list)."""
+    pack = json.loads(path.read_text())
+    block = binascii.a2b_base64(pack["f8"])
+    return pack, list(struct.unpack(f"<{len(block) // 8}d", block))
+
+
+def write_pack(path, pack, floats):
+    pack["f8"] = binascii.b2a_base64(struct.pack(f"<{len(floats)}d",
+                                                 *floats),
+                                     newline=False).decode("ascii")
+    path.write_text(json.dumps(pack))
+
+
+def bits(value):
+    return struct.pack("<d", value)
+
+
+def v1_pack(items):
+    """A pack in the version-1 layout: one JSON record per key."""
+    return {"counters": [[]], "records": {key: {
+        "v": 1, "workload": run.workload, "mode": run.mode.value,
+        "size": run.size, "seed": run.seed, "alloc_ns": run.alloc_ns,
+        "memcpy_ns": run.memcpy_ns, "kernel_ns": run.kernel_ns,
+        "wall_ns": run.wall_ns, "occupancy": run.occupancy,
+        "gpu_busy_fraction": run.gpu_busy_fraction, "counters": 0}
+        for key, run in items}}
+
+
 class TestPackReads:
     def test_negative_timing_fails_only_its_own_key(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         keys = [f"{i:02x}" + "ab" * 31 for i in range(4)]
         cache.put_many([(key, make_run(i)) for i, key in enumerate(keys)])
         # All four entries link one pack: rewrite it in place with one
-        # negative timing in the record of keys[1].
+        # negative timing in the row of keys[1] (alloc_ns is the block's
+        # first field, so its row sits at offset 1).
         path = cache.path_for(keys[0])
-        pack = json.loads(path.read_text())
-        pack["records"][keys[1]]["alloc_ns"] = -1.0
-        path.write_text(json.dumps(pack))
+        pack, floats = read_pack(path)
+        assert pack["keys"] == keys and len(floats) == 6 * 4
+        floats[1] = -1.0
+        write_pack(path, pack, floats)
 
         reader = ResultCache(cache.root)
         assert reader.get(keys[1]) is None
@@ -232,20 +267,131 @@ class TestPackReads:
             assert hit == run
             assert list(vars(hit)) == list(vars(run))
 
+    #: A bad field in one row: ``counters`` is the row's index into the
+    #: pack's counter reports (the ``counters_index`` column).
     @pytest.mark.parametrize("field,value", [
-        ("v", 2), ("mode", "nvlink"), ("wall_ns", "x"), ("counters", 9),
-        (None, ["not", "a", "record"])])
+        ("mode", "nvlink"), ("mode", 7), ("mode", [1]), ("counters", 9),
+        ("counters", -1), ("counters", "0")])
     def test_bad_record_fields_quarantine(self, tmp_path, field, value):
         cache = ResultCache(tmp_path / "cache")
-        key = "ef" * 32
-        cache.put(key, make_run(0))
-        path = cache.path_for(key)
+        keys = ["ef" * 32, "fe" * 32]
+        cache.put_many([(key, make_run(i)) for i, key in enumerate(keys)])
+        path = cache.path_for(keys[0])
         pack = json.loads(path.read_text())
-        if field is None:
-            pack["records"][key] = value
-        else:
-            pack["records"][key][field] = value
+        column = "counters_index" if field == "counters" else field
+        pack[column][0] = value
         path.write_text(json.dumps(pack))
         reader = ResultCache(cache.root)
-        assert reader.get(key) is None
+        assert reader.get(keys[0]) is None
         assert reader.stats.corrupt == 1
+        assert reader.get(keys[1]) == make_run(1)
+
+    @pytest.mark.parametrize("field,value", [
+        ("v", 1), ("f8", "short block"), ("f8", "long block"),
+        ("f8", "not base64 \u00e9"), ("seed", "short column"),
+        ("keys", None), ("counters", [["not", "an", "entry"]])],
+        ids=["v-1", "f8-short_block", "f8-long_block", "f8-not_ascii",
+             "seed-short_column", "keys-null", "counters-bad_entry"])
+    def test_bad_pack_shape_quarantines_every_key(self, tmp_path, field,
+                                                  value):
+        cache = ResultCache(tmp_path / "cache")
+        keys = [f"{i:02x}" + "12" * 31 for i in range(3)]
+        cache.put_many([(key, make_run(i)) for i, key in enumerate(keys)])
+        path = cache.path_for(keys[0])
+        pack, floats = read_pack(path)
+        if value == "short block":
+            write_pack(path, pack, floats[:-1])
+        elif value == "long block":
+            write_pack(path, pack, floats + [0.0])
+        elif value == "short column":
+            pack[field] = pack[field][:-1]
+            path.write_text(json.dumps(pack))
+        else:
+            pack[field] = value
+            path.write_text(json.dumps(pack))
+        reader = ResultCache(cache.root)
+        assert [reader.get(key) for key in keys] == [None] * 3
+        assert reader.stats.corrupt == 3
+        assert all(reader.path_for(key).with_suffix(".corrupt").exists()
+                   for key in keys)
+
+    def test_v1_pack_is_quarantined_then_republished_as_v2(self, tmp_path):
+        specs = RunSpec("vector_seq", "tiny", TransferMode.UVM).members(
+            range(3))
+        clean = SweepExecutor(jobs=1, engine="vector").run(specs)
+        cache = ResultCache(tmp_path / "cache")
+        executor = SweepExecutor(jobs=1, engine="vector", cache=cache)
+        keys = [executor.key_for(spec) for spec in specs]
+        stale = tmp_path / "stale.json"
+        stale.write_text(json.dumps(v1_pack(zip(keys, clean))))
+        for key in keys:
+            cache.path_for(key).parent.mkdir(parents=True, exist_ok=True)
+            os.link(stale, cache.path_for(key))
+
+        first = executor.run_outcomes(specs)
+        assert first.results == clean
+        assert cache.stats.corrupt == 3
+        assert executor.last.executed == 3
+        assert json.loads(cache.path_for(keys[0]).read_text())["v"] == 2
+        second = SweepExecutor(jobs=1, engine="vector",
+                               cache=ResultCache(cache.root))
+        assert second.run_outcomes(specs).results == clean
+        assert second.last.cache_hits == 3
+        assert second.cache.stats.corrupt == 0
+
+    def test_no_hardlink_fallback_writes_v2(self, tmp_path, monkeypatch):
+        def no_links(_src, _dst):
+            raise OSError("EPERM: filesystem without hard links")
+
+        monkeypatch.setattr(os, "link", no_links)
+        cache = ResultCache(tmp_path / "cache")
+        items = [(f"{i:02x}" + "34" * 31, make_run(i)) for i in range(3)]
+        assert cache.put_many(items) == 3
+        for key, run in items:
+            pack = json.loads(cache.path_for(key).read_text())
+            assert (pack["v"], pack["keys"]) == (2, [key])
+            assert ResultCache(cache.root).get(key) == run
+
+    #: Non-negative timings (a negative one fails its row); the other
+    #: two float fields take any float.
+    TIMINGS = st.one_of(st.floats(min_value=0.0), st.just(-0.0),
+                        st.just(5e-324), st.just(float("inf")),
+                        st.just(float("nan")))
+
+    @settings(max_examples=60, deadline=None)
+    @given(timings=st.lists(TIMINGS, min_size=4, max_size=4),
+           others=st.lists(st.floats(), min_size=2, max_size=2),
+           nan_bits=st.integers(min_value=1, max_value=2 ** 51 - 1))
+    def test_floats_round_trip_bitwise_property(self, tmp_path_factory,
+                                                timings, others,
+                                                nan_bits):
+        payload_nan = struct.unpack(
+            "<d", struct.pack("<Q", 0x7FF8000000000000 | nan_bits))[0]
+        extremes = (-0.0, 5e-324, 2.2250738585072014e-308,
+                    1.7976931348623157e308, -1.7976931348623157e308,
+                    float("inf"), float("-inf"), float("nan"), payload_nan)
+        runs = [RunResult(workload="vector_seq", mode=TransferMode.ASYNC,
+                          size="tiny", seed=0, alloc_ns=timings[0],
+                          memcpy_ns=timings[1], kernel_ns=timings[2],
+                          wall_ns=timings[3], counters=CounterReport(),
+                          occupancy=others[0],
+                          gpu_busy_fraction=others[1])]
+        runs += [RunResult(workload="saxpy", mode=TransferMode.UVM,
+                           size="small", seed=i + 1, alloc_ns=abs(value),
+                           memcpy_ns=payload_nan, kernel_ns=0.0,
+                           wall_ns=abs(value), counters=CounterReport(),
+                           occupancy=value, gpu_busy_fraction=-value)
+                 for i, value in enumerate(extremes)]
+        keys = [f"{i:02x}" + "56" * 31 for i in range(len(runs))]
+        cache = ResultCache(tmp_path_factory.mktemp("cache"))
+        cache.put_many(zip(keys, runs))
+        reader = ResultCache(cache.root)
+        for key, run in zip(keys, runs):
+            hit = reader.get(key)
+            assert list(vars(hit)) == list(vars(run))
+            for name, value in vars(run).items():
+                if isinstance(value, float):
+                    assert bits(getattr(hit, name)) == bits(value), name
+                else:
+                    assert getattr(hit, name) == value, name
+        assert reader.stats.corrupt == 0
