@@ -5,7 +5,8 @@ A complete client for the sweep service: submits a grid under a tenant
 name, backs off politely on 429 load shedding (honouring
 ``Retry-After``), treats a 206 partial as the annotated gap list it
 is, then repeats the request to show the hot-cache round trip and
-prints the per-mode wall-time summary from the returned records.
+prints the per-mode wall-time summary from the returned records. Every
+request goes over one persistent HTTP/1.1 connection.
 
 Usage:
     python -m repro serve --port 8023 &
@@ -17,6 +18,7 @@ Usage:
 """
 
 import argparse
+import http.client
 import json
 import os
 import re
@@ -24,32 +26,28 @@ import signal
 import subprocess
 import sys
 import time
-import urllib.error
-import urllib.request
 
 GRID = {"workloads": ["vector_seq", "saxpy"], "sizes": ["tiny"],
         "iterations": 3}
 
 
-def request(port, method, path, body=None, timeout=300.0):
-    """One JSON round trip; returns (status, headers, payload)."""
+def request(conn, method, path, body=None):
+    """One JSON round trip on ``conn``; returns (status, headers, payload).
+
+    Every status carries a JSON body, 4xx/5xx included.
+    """
     data = None if body is None else json.dumps(body).encode("utf-8")
-    req = urllib.request.Request(
-        f"http://127.0.0.1:{port}{path}", data=data, method=method,
-        headers={"Content-Type": "application/json"})
-    try:
-        with urllib.request.urlopen(req, timeout=timeout) as response:
-            return response.status, dict(response.headers), \
-                json.loads(response.read())
-    except urllib.error.HTTPError as error:  # 4xx/5xx still carry JSON
-        return error.code, dict(error.headers), json.loads(error.read())
+    conn.request(method, path, body=data,
+                 headers={"Content-Type": "application/json"})
+    response = conn.getresponse()
+    return response.status, response.headers, json.loads(response.read())
 
 
-def submit_sweep(port, tenant, grid, deadline_s=60.0, max_attempts=5):
+def submit_sweep(conn, tenant, grid, deadline_s=60.0, max_attempts=5):
     """POST /sweep with polite 429 backoff; returns the final payload."""
     body = {"tenant": tenant, "grid": grid, "deadline_s": deadline_s}
     for attempt in range(1, max_attempts + 1):
-        status, headers, payload = request(port, "POST", "/sweep", body)
+        status, headers, payload = request(conn, "POST", "/sweep", body)
         if status != 429:
             return status, payload
         pause = float(headers.get("Retry-After", "1"))
@@ -121,22 +119,25 @@ def main() -> None:
         proc, port = spawn_server()
         print(f"spawned repro serve on port {port}")
     grid = dict(GRID, iterations=args.iterations)
+    # One connection for the whole session: the server keeps it open
+    # between requests (http.client reconnects if it was closed).
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=300.0)
 
     try:
-        status, _, health = request(port, "GET", "/healthz", timeout=10.0)
+        status, _, health = request(conn, "GET", "/healthz")
         print(f"healthz: {status} {health}")
 
         print(f"cold sweep as tenant {args.tenant!r}:")
-        status, payload = submit_sweep(port, args.tenant, grid)
+        status, payload = submit_sweep(conn, args.tenant, grid)
         print(f"  HTTP {status}" + (" (partial)" if status == 206 else ""))
         summarize(payload)
 
         print("same grid again (hot cache):")
-        status, payload = submit_sweep(port, args.tenant, grid)
+        status, payload = submit_sweep(conn, args.tenant, grid)
         print(f"  HTTP {status}")
         summarize(payload)
 
-        _, _, stats = request(port, "GET", "/stats", timeout=10.0)
+        _, _, stats = request(conn, "GET", "/stats")
         print("server stats: "
               f"executed={stats['scheduler']['executed']} "
               f"dedup={stats['scheduler']['dedup_hits']} "
@@ -144,10 +145,12 @@ def main() -> None:
               f"breaker={stats['scheduler']['breaker']['state']}")
     finally:
         if proc is not None:
+            # The drain closes the still-open idle connection at once.
             proc.send_signal(signal.SIGTERM)
             proc.stdout.read()
             proc.wait(timeout=60)
             print("server drained and stopped")
+        conn.close()
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """``repro serve``: the asyncio sweep server.
 
 A deliberately small HTTP/1.1 server built on ``asyncio.start_server``
-(stdlib only — no framework), exposing the sweep executor as a
-long-running, multi-tenant service:
+(stdlib only — no framework, persistent connections), exposing the
+sweep executor as a long-running, multi-tenant service:
 
 * ``POST /sweep``  - run a :class:`~repro.harness.executor.RunSpec`
   grid; the request decomposes into per-spec jobs that dedup against
@@ -68,7 +68,14 @@ _REASONS = {200: "OK", 206: "Partial Content", 400: "Bad Request",
 
 
 class BadRequest(ValueError):
-    """Client error: malformed request line, JSON, or spec payload."""
+    """Client error: malformed request line, JSON, or spec payload.
+
+    ``status`` is the HTTP answer: 400, or 413 for an oversized body.
+    """
+
+    def __init__(self, message: str, status: int = 400):
+        super().__init__(message)
+        self.status = status
 
 
 @dataclass(frozen=True)
@@ -157,6 +164,9 @@ class ReproService:
         self._server: Optional[asyncio.AbstractServer] = None
         self._stop = asyncio.Event()
         self._handlers: set = set()
+        # Writers of connections waiting for their next request line:
+        # close() closes these without waiting for them.
+        self._idle: set = set()
         self._env_fp: Optional[str] = None
         # Bounded by the hot cache's capacity: past it, the oldest
         # keys go first. Writes hold the lock (evict-then-insert).
@@ -282,9 +292,16 @@ class ReproService:
         await self._stop.wait()
 
     async def close(self) -> None:
-        """Stop accepting, then give open handlers a moment to flush."""
+        """Stop accepting, close idle connections, then give open
+        handlers a moment to flush.
+
+        The service is draining by now, so a connection with a request
+        in flight closes after its response and none turns idle again.
+        """
         if self._server is not None:
             self._server.close()
+            for writer in list(self._idle):
+                writer.close()  # its handler reads EOF and returns
             await self._server.wait_closed()
         open_handlers = {task for task in self._handlers if not task.done()}
         if open_handlers:
@@ -295,38 +312,37 @@ class ReproService:
     # ------------------------------------------------------------------
     async def _handle_client(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
+        """Serve one connection: request after request until the client
+        or the drain ends it, or a request's framing cannot be trusted.
+
+        Each request, including the idle wait before it, must arrive
+        within ``request_read_timeout_s``.
+        """
         task = asyncio.current_task()
         if task is not None:
             self._handlers.add(task)
         try:
-            try:
-                method, path, body = await asyncio.wait_for(
-                    self._read_request(reader),
-                    timeout=self.config.request_read_timeout_s)
-            except BadRequest as error:
-                await self._respond(writer, 400, {"error": str(error)})
-                return
-            except (asyncio.TimeoutError, asyncio.IncompleteReadError,
-                    ConnectionError):
-                return  # client went away or dribbled; nothing to answer
-            try:
-                status, payload, headers = await self._dispatch(
+            while True:
+                try:
+                    async with asyncio.timeout(
+                            self.config.request_read_timeout_s):
+                        method, path, body, keep_alive = \
+                            await self._read_request(reader, writer)
+                except BadRequest as error:
+                    await self._respond(writer, error.status,
+                                        {"error": str(error)},
+                                        keep_alive=False)
+                    return
+                except (TimeoutError, asyncio.IncompleteReadError,
+                        ConnectionError):
+                    return  # client went away, dribbled or idled out
+                status, payload, headers = await self._answer(
                     method, path, body)
-            except AdmissionRejected as error:
-                retry_after = max(0.0, error.retry_after_s)
-                status, payload = 429, {"error": error.reason,
-                                        "retry_after_s": retry_after}
-                headers = {"Retry-After": f"{retry_after:g}"}
-            except BadRequest as error:
-                status, payload, headers = 400, {"error": str(error)}, {}
-            except Exception:
-                # Containment: one broken request is one 500; the
-                # accept loop and every other request keep going.
-                logger.exception("request handler failed (%s %s)",
-                                 method, path)
-                status, payload, headers = 500, {
-                    "error": "internal error (contained; see server log)"}, {}
-            await self._respond(writer, status, payload, headers)
+                keep_alive = keep_alive and not self.draining
+                await self._respond(writer, status, payload, headers,
+                                    keep_alive)
+                if not keep_alive:
+                    return
         finally:
             if task is not None:
                 self._handlers.discard(task)
@@ -336,22 +352,54 @@ class ReproService:
             except Exception:  # pragma: no cover - peer already gone
                 pass
 
-    async def _read_request(self, reader: asyncio.StreamReader
-                            ) -> Tuple[str, str, bytes]:
-        line = await reader.readline()
-        if not line:
-            raise ConnectionError("empty request")
+    async def _answer(self, method: str, path: str, body: bytes
+                      ) -> Tuple[int, Dict, Dict[str, str]]:
+        """Route one parsed request; every error becomes its answer."""
+        try:
+            return await self._dispatch(method, path, body)
+        except AdmissionRejected as error:
+            retry_after = max(0.0, error.retry_after_s)
+            return 429, {"error": error.reason,
+                         "retry_after_s": retry_after}, \
+                {"Retry-After": f"{retry_after:g}"}
+        except BadRequest as error:
+            return error.status, {"error": str(error)}, {}
+        except Exception:
+            # Containment: one broken request is one 500; the accept
+            # loop and every other request keep going.
+            logger.exception("request handler failed (%s %s)",
+                             method, path)
+            return 500, {
+                "error": "internal error (contained; see server log)"}, {}
+
+    async def _read_request(self, reader: asyncio.StreamReader,
+                            writer: asyncio.StreamWriter
+                            ) -> Tuple[str, str, bytes, bool]:
+        """``(method, path, body, keep_alive)`` of the next request.
+
+        The connection counts as idle until its request line arrives.
+        """
+        self._idle.add(writer)
+        try:
+            line = await self._read_line(reader)
+        finally:
+            self._idle.discard(writer)
+        if not line or writer.is_closing():
+            raise ConnectionError("connection closed")
         parts = line.decode("latin-1").split()
         if len(parts) != 3:
             raise BadRequest("malformed request line")
-        method, target, _version = parts
+        method, target, version = parts
         headers: Dict[str, str] = {}
         while True:
-            raw = await reader.readline()
+            raw = await self._read_line(reader)
             if raw in (b"\r\n", b"\n", b""):
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
+        if "transfer-encoding" in headers:
+            raise BadRequest("Transfer-Encoding is not supported; "
+                             "send a Content-Length")
         raw_length = headers.get("content-length", "0") or "0"
         try:
             length = int(raw_length)
@@ -363,18 +411,30 @@ class ReproService:
         if length > self.config.max_body_bytes:
             raise BadRequest(
                 f"body of {length} bytes exceeds the "
-                f"{self.config.max_body_bytes}-byte limit")
+                f"{self.config.max_body_bytes}-byte limit", status=413)
         body = await reader.readexactly(length) if length else b""
-        return method, target.split("?", 1)[0], body
+        tokens = {token.strip().lower()
+                  for token in headers.get("connection", "").split(",")}
+        keep_alive = version == "HTTP/1.1" and "close" not in tokens
+        return method, target.split("?", 1)[0], body, keep_alive
+
+    @staticmethod
+    async def _read_line(reader: asyncio.StreamReader) -> bytes:
+        try:
+            return await reader.readline()
+        except ValueError:  # past the stream's 64 KiB line limit
+            raise BadRequest("request line or header too long") from None
 
     async def _respond(self, writer: asyncio.StreamWriter, status: int,
                        payload: Dict,
-                       headers: Optional[Dict[str, str]] = None) -> None:
+                       headers: Optional[Dict[str, str]] = None,
+                       keep_alive: bool = True) -> None:
         body = json.dumps(payload).encode("utf-8")
         lines = [f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
                  "Content-Type: application/json",
-                 f"Content-Length: {len(body)}",
-                 "Connection: close"]
+                 f"Content-Length: {len(body)}"]
+        if not keep_alive:
+            lines.append("Connection: close")
         for name, value in (headers or {}).items():
             lines.append(f"{name}: {value}")
         head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
@@ -428,18 +488,23 @@ class ReproService:
 
         started = time.monotonic()
         self.admission.admit(tenant, len(specs))  # may raise -> 429
-        try:
-            loop = asyncio.get_running_loop()
-            keys = await loop.run_in_executor(None, self._keys_for, specs)
-        except Exception as error:
-            self.admission.release(tenant, unsettled=len(specs))
-            raise BadRequest(
-                f"cannot resolve specs: {type(error).__name__}: "
-                f"{error}") from error
-        if self.draining:  # the drain began while we computed keys
-            self.admission.release(tenant, unsettled=len(specs))
-            return 503, {"error": "server draining; retry after restart"}, \
-                {"Retry-After": "5"}
+        # Keys the memo holds are read here, on the loop; one it lacks
+        # sends the request's key derivation to a thread.
+        memo = self._key_memo
+        keys = [memo.get(spec) for spec in specs]
+        if None in keys:
+            try:
+                keys = await asyncio.get_running_loop().run_in_executor(
+                    None, self._keys_for, specs)
+            except Exception as error:
+                self.admission.release(tenant, unsettled=len(specs))
+                raise BadRequest(
+                    f"cannot resolve specs: {type(error).__name__}: "
+                    f"{error}") from error
+            if self.draining:  # the drain began while we computed keys
+                self.admission.release(tenant, unsettled=len(specs))
+                return 503, {"error": "server draining; retry after "
+                                      "restart"}, {"Retry-After": "5"}
 
         # Decompose: hot hits settle immediately; everything else joins
         # the scheduler (dedup'ing onto identical in-flight jobs). No

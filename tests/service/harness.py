@@ -67,7 +67,9 @@ async def http(port, method, path, body=None, raw=None):
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     if raw is None:
         raw = b"" if body is None else json.dumps(body).encode("utf-8")
+    # One-shot: the response is read to EOF, so ask the server to close.
     writer.write((f"{method} {path} HTTP/1.1\r\nHost: test\r\n"
+                  "Connection: close\r\n"
                   f"Content-Length: {len(raw)}\r\n\r\n").encode("latin-1")
                  + raw)
     await writer.drain()

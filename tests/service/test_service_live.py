@@ -4,10 +4,13 @@ Every test starts the actual asyncio server, talks to it over real
 sockets, and asserts the contract ``docs/SERVICE.md`` documents:
 bit-identical results, hot/disk cache behaviour, in-flight dedup,
 fair-share scheduling, 429 load shedding, deadline partials, failure
-containment, breaker fallback, and drain/resume checkpointing.
+containment, breaker fallback, drain/resume checkpointing, persistent
+connections and the request-read limits.
 """
 
 import asyncio
+import json
+import logging
 
 import pytest
 
@@ -501,3 +504,249 @@ class TestDrainResume:
             return status
 
         assert asyncio.run(scenario()) in ("refused", 503)
+
+
+# ----------------------------------------------------------------------
+# Persistent connections + request-read limits
+# ----------------------------------------------------------------------
+#: Bounds a read that must end; a hang guard, not a timing assertion.
+HANG_GUARD_S = 60.0
+
+
+async def send(writer, method, path, body=None, headers=(),
+               version="HTTP/1.1"):
+    raw = b"" if body is None else json.dumps(body).encode("utf-8")
+    head = [f"{method} {path} {version}", "Host: test",
+            f"Content-Length: {len(raw)}", *headers]
+    writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + raw)
+    await writer.drain()
+
+
+async def read_response(reader):
+    """One response framed by its Content-Length (the connection stays
+    open); returns ``(status, headers, json_payload)``."""
+    head = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"),
+                                  HANG_GUARD_S)
+    lines = head.decode("latin-1").split("\r\n")
+    headers = {}
+    for line in lines[1:]:
+        if line:
+            name, _, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip()
+    payload = await reader.readexactly(int(headers["content-length"]))
+    return int(lines[0].split()[1]), headers, json.loads(payload)
+
+
+async def at_eof(reader):
+    return await asyncio.wait_for(reader.read(), HANG_GUARD_S) == b""
+
+
+class TestPersistentConnections:
+    def test_one_socket_carries_two_sweeps_and_stats(self, tmp_path):
+        async def scenario():
+            async with live_service(tmp_path) as service:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", service.port)
+                body = {"tenant": "alice", "grid": GRID}
+                answers = []
+                for method, path, payload in (("POST", "/sweep", body),
+                                              ("POST", "/sweep", body),
+                                              ("GET", "/stats", None)):
+                    await send(writer, method, path, payload)
+                    answers.append(await read_response(reader))
+                writer.close()
+                return answers
+
+        (s1, h1, p1), (s2, h2, p2), (s3, h3, stats) = asyncio.run(scenario())
+        assert (s1, s2, s3) == (200, 200, 200)
+        assert all("connection" not in h for h in (h1, h2, h3))
+        assert all(entry["cache"] == "hot" for entry in p2["specs"])
+        assert response_records(p1) == response_records(p2)
+        assert stats["sweep_requests"] == 2
+
+    @pytest.mark.parametrize("headers,version", [
+        (("Connection: close",), "HTTP/1.1"),
+        ((), "HTTP/1.0"),
+    ], ids=["connection-close", "http-1.0"])
+    def test_one_shot_requests_get_eof(self, tmp_path, headers, version):
+        async def scenario():
+            async with live_service(tmp_path) as service:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", service.port)
+                await send(writer, "GET", "/healthz", headers=headers,
+                           version=version)
+                answer = await read_response(reader)
+                closed = await at_eof(reader)
+                writer.close()
+                return answer, closed
+
+        (status, headers_out, _), closed = asyncio.run(scenario())
+        assert status == 200
+        assert headers_out["connection"] == "close"
+        assert closed
+
+    @pytest.mark.parametrize("garbage,error", [
+        (b"NONSENSE\r\n\r\n", "malformed"),
+        (b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70000 + b"\r\n\r\n",
+         "too long"),
+        (b"POST /sweep HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+         b"0\r\n\r\n", "Transfer-Encoding"),
+    ], ids=["request-line", "header-over-64KiB", "chunked-body"])
+    def test_malformed_request_closes_only_its_connection(
+            self, tmp_path, caplog, garbage, error):
+        async def scenario():
+            async with live_service(tmp_path) as service:
+                good_reader, good_writer = await asyncio.open_connection(
+                    "127.0.0.1", service.port)
+                await send(good_writer, "GET", "/healthz")
+                first = await read_response(good_reader)
+                bad_reader, bad_writer = await asyncio.open_connection(
+                    "127.0.0.1", service.port)
+                bad_writer.write(garbage)
+                await bad_writer.drain()
+                bad = await read_response(bad_reader)
+                bad_closed = await at_eof(bad_reader)
+                await send(good_writer, "GET", "/healthz")
+                second = await read_response(good_reader)
+                good_writer.close()
+                bad_writer.close()
+                return first, bad, bad_closed, second
+
+        with caplog.at_level(logging.WARNING):
+            first, (status, headers, payload), bad_closed, second = \
+                asyncio.run(scenario())
+        assert status == 400
+        assert error in payload["error"]
+        assert headers["connection"] == "close"
+        assert bad_closed
+        assert first[0] == second[0] == 200
+        assert not [record for record in caplog.records
+                    if record.levelno >= logging.ERROR]
+
+    def test_drain_closes_an_idle_connection_at_once(self, tmp_path,
+                                                      caplog):
+        async def scenario():
+            service = ReproService(ServiceConfig(
+                port=0, cache_dir=tmp_path / "svc-cache", jobs=1))
+            await service.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", service.port)
+            await send(writer, "GET", "/healthz")
+            answer = await read_response(reader)
+            await drain_service(service)
+            # close() returned with no handler left: it did not wait
+            # out its grace on the idle connection.
+            handlers_left = len(service._handlers)
+            closed = await at_eof(reader)
+            writer.close()
+            return answer, handlers_left, closed
+
+        with caplog.at_level(logging.WARNING):
+            (status, headers, _), handlers_left, closed = \
+                asyncio.run(scenario())
+        assert status == 200
+        assert "connection" not in headers
+        assert handlers_left == 0
+        assert closed
+        assert not [record for record in caplog.records
+                    if record.levelno >= logging.ERROR]
+
+    def test_in_flight_request_is_answered_with_close(self, tmp_path):
+        grid = TestDrainResume.GRID6
+
+        async def scenario():
+            service = ReproService(ServiceConfig(
+                port=0, cache_dir=tmp_path / "svc-cache", jobs=1,
+                slots=1, batch_size=2, retries=0, timeout_s=None))
+            await service.start()
+            specs = grid_specs(grid)
+            faults.install(plan_for(specs, faults.KIND_DELAY,
+                                    delay_s=0.15))
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", service.port)
+            await send(writer, "POST", "/sweep",
+                       {"tenant": "alice", "grid": grid,
+                        "deadline_s": None})
+            while service.scheduler.stats.submitted < len(specs):
+                await asyncio.sleep(0.01)  # the request is now held
+            drain = asyncio.ensure_future(drain_service(service))
+            answer = await read_response(reader)
+            closed = await at_eof(reader)
+            await drain
+            writer.close()
+            return answer, closed
+
+        (status, headers, payload), closed = asyncio.run(scenario())
+        assert status == 206  # queued specs settled as drained-skips
+        assert len(payload["specs"]) == 6
+        assert headers["connection"] == "close"
+        assert closed
+
+    def test_repeat_request_derives_no_keys(self, tmp_path):
+        async def scenario():
+            async with live_service(tmp_path) as service:
+                calls = []
+                derive = service._keys_for
+
+                def counted(specs):
+                    calls.append(len(specs))
+                    return derive(specs)
+
+                service._keys_for = counted
+                first = await sweep(service.port, "alice", grid=GRID)
+                second = await sweep(service.port, "bob", grid=GRID)
+                return first, second, calls
+
+        (s1, _, p1), (s2, _, p2), calls = asyncio.run(scenario())
+        assert (s1, s2) == (200, 200)
+        assert [entry["key"] for entry in p1["specs"]] \
+            == [entry["key"] for entry in p2["specs"]]
+        assert calls == [8]  # the repeat read every key on the loop
+
+
+class TestRequestLimits:
+    def test_oversized_body_gets_413_and_close(self, tmp_path):
+        async def scenario():
+            async with live_service(tmp_path, max_body_bytes=128) as service:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", service.port)
+                # Only the head: the server must answer from it alone.
+                writer.write(b"POST /sweep HTTP/1.1\r\nHost: test\r\n"
+                             b"Content-Length: 129\r\n\r\n")
+                await writer.drain()
+                answer = await read_response(reader)
+                closed = await at_eof(reader)
+                writer.close()
+                within = await sweep(service.port, "t", grid={
+                    "workloads": ["saxpy"], "sizes": ["tiny"]})
+                return answer, closed, within
+
+        (status, headers, payload), closed, (within, _, _) = \
+            asyncio.run(scenario())
+        assert status == 413
+        assert "128-byte limit" in payload["error"]
+        assert headers["connection"] == "close"
+        assert closed
+        assert within == 200  # a 68-byte body is under the limit
+
+    def test_read_timeout_closes_silent_and_idle_connections(self,
+                                                             tmp_path):
+        async def scenario():
+            async with live_service(tmp_path,
+                                    request_read_timeout_s=0.2) as service:
+                silent_reader, silent_writer = await asyncio.open_connection(
+                    "127.0.0.1", service.port)
+                idle_reader, idle_writer = await asyncio.open_connection(
+                    "127.0.0.1", service.port)
+                await send(idle_writer, "GET", "/healthz")
+                answer = await read_response(idle_reader)
+                closed = (await at_eof(silent_reader),
+                          await at_eof(idle_reader))
+                silent_writer.close()
+                idle_writer.close()
+                return answer, closed
+
+        (status, headers, _), closed = asyncio.run(scenario())
+        assert status == 200
+        assert "connection" not in headers  # kept open, then idled out
+        assert closed == (True, True)
