@@ -53,6 +53,9 @@ def submit_sweep(conn, tenant, grid, deadline_s=60.0, max_attempts=5):
         pause = float(headers.get("Retry-After", "1"))
         print(f"  shed (attempt {attempt}): {payload['error']}; "
               f"retrying in {pause:g}s")
+        # The server closes a connection that idles past its read
+        # timeout; retry on a fresh one rather than risk that.
+        conn.close()
         time.sleep(pause)
     raise SystemExit("server still shedding load; giving up")
 
@@ -120,7 +123,9 @@ def main() -> None:
         print(f"spawned repro serve on port {port}")
     grid = dict(GRID, iterations=args.iterations)
     # One connection for the whole session: the server keeps it open
-    # between requests (http.client reconnects if it was closed).
+    # between requests. http.client opens a new one after a response
+    # that closed it or an explicit close(), but not after the server
+    # dropped an idle one.
     conn = http.client.HTTPConnection("127.0.0.1", port, timeout=300.0)
 
     try:

@@ -253,16 +253,23 @@ class ReproService:
             (job.key, outcome.status, job.spec, outcome.attempts,
              outcome.error) for job, outcome in settled])
 
-    def _keys_for(self, specs: List[RunSpec]) -> List[str]:
+    def _memo_keys(self, specs: List[RunSpec]) -> List[Optional[str]]:
+        """Each spec's memoized key, or None where the memo lacks one."""
+        memo = self._key_memo
+        return [memo.get(spec) for spec in specs]
+
+    def _keys_for(self, specs: List[RunSpec],
+                  keys: Optional[List[Optional[str]]] = None) -> List[str]:
         """Content-addressed keys (blocking: builds programs once).
 
-        Keys the memo lacks are derived once per sweep family
-        (:func:`~repro.harness.executor.family_keys`).
+        ``keys`` is the memo's answer already read for ``specs``
+        (:meth:`_memo_keys`); the ones it lacks are derived once per
+        sweep family (:func:`~repro.harness.executor.family_keys`).
         """
         if self._env_fp is None:
             self._env_fp = environment_fingerprint()
         memo, capacity = self._key_memo, self.hot.capacity
-        keys = [memo.get(spec) for spec in specs]
+        keys = self._memo_keys(specs) if keys is None else list(keys)
         missing = [index for index, key in enumerate(keys) if key is None]
         if missing:
             derived = family_keys([specs[index] for index in missing],
@@ -324,16 +331,15 @@ class ReproService:
         try:
             while True:
                 try:
-                    async with asyncio.timeout(
-                            self.config.request_read_timeout_s):
-                        method, path, body, keep_alive = \
-                            await self._read_request(reader, writer)
+                    method, path, body, keep_alive = await asyncio.wait_for(
+                        self._read_request(reader, writer),
+                        timeout=self.config.request_read_timeout_s)
                 except BadRequest as error:
                     await self._respond(writer, error.status,
                                         {"error": str(error)},
                                         keep_alive=False)
                     return
-                except (TimeoutError, asyncio.IncompleteReadError,
+                except (asyncio.TimeoutError, asyncio.IncompleteReadError,
                         ConnectionError):
                     return  # client went away, dribbled or idled out
                 status, payload, headers = await self._answer(
@@ -341,8 +347,8 @@ class ReproService:
                 keep_alive = keep_alive and not self.draining
                 await self._respond(writer, status, payload, headers,
                                     keep_alive)
-                if not keep_alive:
-                    return
+                if not keep_alive or self.draining:
+                    return  # the drain may have begun during the write
         finally:
             if task is not None:
                 self._handlers.discard(task)
@@ -377,8 +383,12 @@ class ReproService:
                             ) -> Tuple[str, str, bytes, bool]:
         """``(method, path, body, keep_alive)`` of the next request.
 
-        The connection counts as idle until its request line arrives.
+        The connection counts as idle until its request line arrives;
+        once the listener has closed, none turns idle (close() has
+        already closed the idle ones).
         """
+        if self._server is not None and not self._server.is_serving():
+            raise ConnectionError("server closed")
         self._idle.add(writer)
         try:
             line = await self._read_line(reader)
@@ -489,13 +499,12 @@ class ReproService:
         started = time.monotonic()
         self.admission.admit(tenant, len(specs))  # may raise -> 429
         # Keys the memo holds are read here, on the loop; one it lacks
-        # sends the request's key derivation to a thread.
-        memo = self._key_memo
-        keys = [memo.get(spec) for spec in specs]
+        # sends the derivation of the missing ones to a thread.
+        keys = self._memo_keys(specs)
         if None in keys:
             try:
                 keys = await asyncio.get_running_loop().run_in_executor(
-                    None, self._keys_for, specs)
+                    None, self._keys_for, specs, keys)
             except Exception as error:
                 self.admission.release(tenant, unsettled=len(specs))
                 raise BadRequest(

@@ -651,6 +651,43 @@ class TestPersistentConnections:
         assert not [record for record in caplog.records
                     if record.levelno >= logging.ERROR]
 
+    def test_drain_begun_during_a_write_leaves_no_idle_connection(
+            self, tmp_path):
+        async def scenario():
+            service = ReproService(ServiceConfig(
+                port=0, cache_dir=tmp_path / "svc-cache", jobs=1))
+            await service.start()
+            respond = service._respond
+            drains = []
+
+            async def respond_as_drain_begins(*args, **kwargs):
+                # The response was framed keep-alive; the drain (and its
+                # sweep of idle connections) runs before it is written.
+                if not drains:
+                    drains.append(asyncio.ensure_future(
+                        drain_service(service)))
+                    while not service._server or \
+                            service._server.is_serving():
+                        await asyncio.sleep(0)
+                await respond(*args, **kwargs)
+
+            service._respond = respond_as_drain_begins
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", service.port)
+            await send(writer, "GET", "/healthz")
+            answer = await read_response(reader)
+            await drains[0]
+            handlers_left = len(service._handlers)
+            closed = await at_eof(reader)
+            writer.close()
+            return answer, closed, handlers_left
+
+        (status, headers, _), closed, handlers_left = asyncio.run(scenario())
+        assert status == 200
+        assert "connection" not in headers  # framed before the drain
+        assert closed
+        assert handlers_left == 0  # close() did not wait out its grace
+
     def test_in_flight_request_is_answered_with_close(self, tmp_path):
         grid = TestDrainResume.GRID6
 
@@ -688,9 +725,9 @@ class TestPersistentConnections:
                 calls = []
                 derive = service._keys_for
 
-                def counted(specs):
+                def counted(specs, keys=None):
                     calls.append(len(specs))
-                    return derive(specs)
+                    return derive(specs, keys)
 
                 service._keys_for = counted
                 first = await sweep(service.port, "alice", grid=GRID)
