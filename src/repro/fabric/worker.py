@@ -48,7 +48,7 @@ from typing import Optional
 
 from ..harness import faults
 from ..harness.executor import (Calibration, ResultCache, RunSpec,
-                                SystemSpec, cache_key,
+                                SystemSpec, cache_key, cache_read,
                                 environment_fingerprint, execute_spec,
                                 program_fingerprint)
 from ..harness.resilience import SpecStatus
@@ -67,10 +67,6 @@ def _sigkill_self() -> None:  # pragma: no cover - kills the process
 
 class FabricWorker:
     """One competing consumer of a fabric root. See module docstring."""
-
-    #: Extra read attempts absorbed before a flaky cache read degrades
-    #: to a miss (mirrors ``SweepExecutor.CACHE_READ_RETRIES``).
-    CACHE_READ_RETRIES = 2
 
     def __init__(self, fabric: FabricRoot, worker_id: str,
                  system: Optional[SystemSpec] = None,
@@ -323,15 +319,8 @@ class FabricWorker:
 
     # ------------------------------------------------------------------
     def _cache_get(self, spec: RunSpec, key: str):
-        """Flake-resilient cache read (see executor ``_cache_get``)."""
-        for _ in range(self.CACHE_READ_RETRIES + 1):
-            try:
-                faults.maybe_flaky_io(spec)
-                return self.cache.get(key)
-            except OSError:
-                continue
-        self.cache.stats.misses += 1
-        return None
+        """Flake-resilient cache read (:func:`cache_read`)."""
+        return cache_read(self.cache, spec, key, faults.active_plan())
 
 
 def main(root: str, worker_id: Optional[str] = None,

@@ -681,6 +681,35 @@ class ResultCache:
         return removed
 
 
+#: Extra read attempts absorbed before a flaky cache read degrades to a
+#: miss (the entry is then recomputed, never served torn).
+CACHE_READ_RETRIES = 2
+
+
+def cache_read(cache: ResultCache, spec: RunSpec, key: str,
+               plan: Optional[faults.FaultPlan]) -> Optional[RunResult]:
+    """One cache lookup, resilient to transient read errors.
+
+    A read that raises :class:`OSError` (real filesystem flake or an
+    injected ``flaky_io`` fault) is retried up to
+    :data:`CACHE_READ_RETRIES` times, then degrades to a miss — a flaky
+    disk can cost a re-simulation but can never fail a spec or surface
+    a partial record.  ``plan`` is the caller's fault plan: with none
+    installed, no read can meet an injected fault, and
+    :meth:`ResultCache.get` already counts a real read error as a miss.
+    """
+    if plan is None:
+        return cache.get(key)
+    for _ in range(CACHE_READ_RETRIES + 1):
+        try:
+            faults.maybe_flaky_io(spec)
+            return cache.get(key)
+        except OSError:
+            continue
+    cache.stats.misses += 1
+    return None
+
+
 # ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
@@ -882,21 +911,19 @@ def _grid_entry(entry: Tuple) -> Tuple:
 
     ``entry`` is ``(specs, system, calib, engine)``.  Runs
     :meth:`SweepExecutor._precompute_grid` in the worker, against its
-    own program and phase memos, and returns ``(rows, groups, fused,
-    rerouted, rules)``: the replayed results in spec order (``None``
-    for rows the grid leaves) and the tallies the coordinator's
-    ``[sweep]`` summary reports.
+    own program and phase memos, and returns ``(rows, stats)``: the
+    replayed results in spec order (``None`` for rows the grid leaves)
+    and the :class:`SweepStats` holding the grid tallies the
+    coordinator's ``[sweep]`` summary reports.
     """
     specs, system, calib, engine = entry
     executor = SweepExecutor(jobs=1, system=system, calib=calib,
                              engine=engine)
-    executor._phase_memo = phase_memo_for(system or default_system(),
-                                          calib or default_calibration())
+    sweep = executor._sweep
+    sweep.phase_memo = phase_memo_for(system or default_system(),
+                                      calib or default_calibration())
     executor._precompute_grid(specs)
-    grid = executor._grid
-    return ([grid.get(spec) for spec in specs], executor._grid_groups,
-            executor._families_fused, executor._families_rerouted,
-            executor._reroute_rules)
+    return [sweep.grid.get(spec) for spec in specs], sweep.stats
 
 
 @dataclass
@@ -924,6 +951,18 @@ class SweepStats:
     #: (``FamilyRerouted.rule``), plus ``"residual-guard"`` for fused
     #: rows whose per-spec guards failed.
     reroute_rules: Dict[str, int] = field(default_factory=dict)
+
+    def merge(self, other: "SweepStats") -> None:
+        """Add ``other``'s counts to this one's; ``jobs`` and ``engine``
+        describe the sweep and stay."""
+        for name in _SUMMED_STATS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        for rule, count in other.reroute_rules.items():
+            self.count_reroute(rule, count)
+
+    def count_reroute(self, rule: str, count: int = 1) -> None:
+        """Tally ``count`` reroutes under the classifier ``rule``."""
+        self.reroute_rules[rule] = self.reroute_rules.get(rule, 0) + count
 
     @property
     def phase_lookups(self) -> int:
@@ -963,6 +1002,35 @@ class SweepStats:
             if count:
                 parts.append(f"{count} {label}")
         return "[sweep] " + ", ".join(parts)
+
+
+#: The :class:`SweepStats` fields :meth:`SweepStats.merge` adds up.
+_SUMMED_STATS = tuple(stats_field.name
+                      for stats_field in dataclasses.fields(SweepStats)
+                      if stats_field.name not in ("jobs", "engine",
+                                                  "reroute_rules"))
+
+
+class _Sweep:
+    """The sweep in flight.
+
+    Holds its outcome slots in spec order, how many have settled, its
+    strictness and fault plan, the grid-replayed results (spec ->
+    :class:`RunResult`), the phase memo its hit counts are read from,
+    and the :class:`SweepStats` it accumulates.
+    """
+
+    def __init__(self, total: int = 0, strict: bool = False,
+                 plan: Optional[faults.FaultPlan] = None,
+                 stats: Optional[SweepStats] = None):
+        self.outcomes: List[Optional[SpecOutcome]] = [None] * total
+        self.strict = strict
+        self.plan = plan
+        self.done = 0
+        self.grid: Dict[RunSpec, RunResult] = {}
+        self.stats = stats if stats is not None else SweepStats()
+        self.phase_memo = None
+        self.memo_before = (0, 0)
 
 
 ProgressFn = Callable[[int, int, RunSpec], None]
@@ -1081,18 +1149,7 @@ class SweepExecutor:
         # per executor, so keys memoize safely; warm replays of the
         # same grid then skip re-canonicalizing every spec.
         self._key_memo: Dict[RunSpec, str] = {}
-        self._done = 0
-        self._retries = 0
-        self._crashes = 0
-        self._phase_memo = None
-        self._memo_before = (0, 0)
-        # Grid-precomputed results for the sweep in flight (analytic
-        # engine): spec -> RunResult.
-        self._grid: Dict[RunSpec, RunResult] = {}
-        self._grid_groups = 0
-        self._families_fused = 0
-        self._families_rerouted = 0
-        self._reroute_rules: Dict[str, int] = {}
+        self._sweep = _Sweep()
 
     # ------------------------------------------------------------------
     def key_for(self, spec: RunSpec) -> str:
@@ -1128,34 +1185,6 @@ class SweepExecutor:
     def _tick(self, done: int, total: int, spec: RunSpec) -> None:
         if self.progress is not None:
             self.progress(done, total, spec)
-
-    #: Extra read attempts absorbed before a flaky cache read degrades
-    #: to a miss (the entry is then recomputed, never served torn).
-    CACHE_READ_RETRIES = 2
-
-    def _cache_get(self, spec: RunSpec, key: str,
-                   plan: Optional[faults.FaultPlan]) -> Optional[RunResult]:
-        """One cache lookup, resilient to transient read errors.
-
-        A read that raises :class:`OSError` (real filesystem flake or
-        an injected ``flaky_io`` fault) is retried up to
-        :data:`CACHE_READ_RETRIES` times, then degrades to a miss — a
-        flaky disk can cost a re-simulation but can never fail a spec
-        or surface a partial record.  ``plan`` is the sweep's fault
-        plan: with none installed, no read can meet an injected fault,
-        and :meth:`ResultCache.get` already counts a real read error
-        as a miss.
-        """
-        if plan is None:
-            return self.cache.get(key)
-        for _ in range(self.CACHE_READ_RETRIES + 1):
-            try:
-                faults.maybe_flaky_io(spec)
-                return self.cache.get(key)
-            except OSError:
-                continue
-        self.cache.stats.misses += 1
-        return None
 
     def prewarm(self, specs: Sequence[RunSpec]) -> int:
         """Hoist per-spec setup shared across the sweep.
@@ -1225,29 +1254,24 @@ class SweepExecutor:
             for spec, key in zip(specs, keys):
                 if key is not None:
                     self._key_memo[spec] = key
-        strict = self.strict if strict is None else strict
         started = time.perf_counter()
         total = len(specs)
-        outcomes: List[Optional[SpecOutcome]] = [None] * total
-        self._done = 0
-        self._retries = 0
-        self._crashes = 0
+        # The fault plan is read once per sweep: with none installed, no
+        # cache read can meet an injected fault and no grid hit can raise.
+        plan = faults.active_plan()
+        sweep = self._sweep = _Sweep(
+            total, self.strict if strict is None else strict, plan,
+            SweepStats(jobs=self.jobs, engine=self.engine))
+        outcomes = sweep.outcomes
         self.prewarm(specs)
-        self._phase_memo = None
-        self._memo_before = (0, 0)
-        self._grid = {}
-        self._grid_groups = 0
-        self._families_fused = 0
-        self._families_rerouted = 0
-        self._reroute_rules = {}
         if engine_spec(self.engine).analytic:
             # Bind the coordinator-side memo so the grid replay and
             # serial sweeps report hit/miss deltas in the summary (pool
             # workers keep private memos the coordinator cannot see).
-            self._phase_memo = phase_memo_for(
+            sweep.phase_memo = phase_memo_for(
                 self.system or default_system(),
                 self.calib or default_calibration())
-            self._memo_before = self._phase_memo.stats()
+            sweep.memo_before = sweep.phase_memo.stats()
 
         need_keys = self.cache is not None or self.journal is not None
         keys = self._batch_keys(specs) if need_keys else [None] * total
@@ -1268,27 +1292,23 @@ class SweepExecutor:
                             spec=spec, index=index,
                             status=SpecStatus.SKIPPED,
                             error=f"skipped on resume (journaled {status})",
-                            key=keys[index]), outcomes, total, strict,
-                            journal=False, store=False)
+                            key=keys[index]), journal=False, store=False)
             elif self.journal is not None and fresh:
                 self.journal.clear()  # fresh sweep, fresh checkpoint
 
-            # Cache pass.  The fault plan is read once per sweep: with
-            # none installed, no read can meet an injected fault.  A hit
-            # settles in place (no journal or cache write, no strict
-            # check can fire), in spec order.
-            plan = faults.active_plan()
+            # Cache pass.  A hit settles in place (no journal or cache
+            # write, no strict check can fire), in spec order.
             if self.cache is not None:
                 for index, spec in enumerate(specs):
                     if outcomes[index] is not None:
                         continue
                     key = keys[index]
-                    hit = self._cache_get(spec, key, plan)
+                    hit = cache_read(self.cache, spec, key, plan)
                     if hit is not None:
                         outcomes[index] = SpecOutcome.settled_ok(
                             spec, index, hit, key, from_cache=True)
-                        self._done += 1
-                        self._tick(self._done, total, spec)
+                        sweep.done += 1
+                        self._tick(sweep.done, total, spec)
 
             pending = [(index, spec, keys[index])
                        for index, spec in enumerate(specs)
@@ -1307,57 +1327,28 @@ class SweepExecutor:
                     self._precompute_grid(grid_specs)
                 elif self.isolate and plan is None:
                     self._grid_in_worker(pools, grid_specs)
-            if pending and self._grid and plan is None:
+            if pending and sweep.grid and plan is None:
                 # Bulk-settle: with no fault plan installed, a grid hit
                 # cannot raise inside ``_execute_local``, so the
                 # per-spec retry loop is pure overhead for precomputed
-                # results — publish them directly (same order, same
-                # journal/cache writes) and leave only the misses to
-                # the per-spec path.
-                #
-                # Outcomes settle and tick per spec; cache and journal
-                # writes go out per sweep family (contiguous in spec
-                # order): one pack and one journal append each.
-                # Publishing per family rather than per batch bounds
-                # the payload held in memory.
-                remaining = []
-                grid_get = self._grid.get
-                publish = self.cache is not None or self.journal is not None
-                progress = self.progress
-                settled_ok = SpecOutcome.settled_ok
-                settled = 0
-                family: List[SpecOutcome] = []
-                family_id = None
-                for index, spec, key in pending:
-                    hit = grid_get(spec)
-                    if hit is None:
-                        remaining.append((index, spec, key))
-                        continue
-                    outcome = settled_ok(spec, index, hit, key)
-                    outcomes[index] = outcome
-                    settled += 1
-                    if progress is not None:
-                        progress(self._done + settled, total, spec)
-                    if publish:
-                        spec_family = _family_id(spec)
-                        if spec_family != family_id:
-                            self._publish_family(family)
-                            family, family_id = [], spec_family
-                        family.append(outcome)
-                self._publish_family(family)
-                self._done += settled
+                # results — publish them directly and leave only the
+                # misses to the per-spec path.
+                remaining: List[Tuple[int, RunSpec, Optional[str]]] = []
+                self._settle_in_families(self._replayed(pending, remaining))
                 pending = remaining
             if pending:
                 if self.isolate or (self.jobs > 1 and len(pending) > 1):
-                    self._run_pool(pending, outcomes, total, strict, pools)
+                    self._run_pool(pending, pools)
                 else:
-                    self._run_serial(pending, outcomes, total, strict)
+                    self._settle_in_families(
+                        self._attempt(index, spec, key)
+                        for index, spec, key in pending)
         except SweepFailure as failure:
-            failure.partial = self._finalize(specs, outcomes, started,
+            failure.partial = self._finalize(specs, started,
                                              "aborted by strict mode")
             raise
         except KeyboardInterrupt:
-            partial = self._finalize(specs, outcomes, started, "interrupted")
+            partial = self._finalize(specs, started, "interrupted")
             raise SweepInterrupted(partial) from None
         finally:
             if restore is not None:
@@ -1367,7 +1358,7 @@ class SweepExecutor:
                     pass
             if pools is not self.pool:
                 pools.close()
-        return self._finalize(specs, outcomes, started, "not scheduled")
+        return self._finalize(specs, started, "not scheduled")
 
     def run_dag(self, dag, strict: Optional[bool] = None) -> SweepOutcome:
         """Execute a compiled :class:`repro.fabric.SpecDAG` in-process.
@@ -1425,27 +1416,9 @@ class SweepExecutor:
         sweep = SweepOutcome(outcomes=filled)
         if len(stats) > 1:
             # Collapse the per-layer stats into one sweep's accounting.
-            total = SweepStats(jobs=self.jobs, engine=self.engine)
+            self.last = SweepStats(jobs=self.jobs, engine=self.engine)
             for layer_stats in stats:
-                total.total += layer_stats.total
-                total.cache_hits += layer_stats.cache_hits
-                total.executed += layer_stats.executed
-                total.elapsed_s += layer_stats.elapsed_s
-                total.failed += layer_stats.failed
-                total.timed_out += layer_stats.timed_out
-                total.skipped += layer_stats.skipped
-                total.retries += layer_stats.retries
-                total.crashes += layer_stats.crashes
-                total.phase_hits += layer_stats.phase_hits
-                total.phase_misses += layer_stats.phase_misses
-                total.grid_groups += layer_stats.grid_groups
-                total.grid_specs += layer_stats.grid_specs
-                total.families_fused += layer_stats.families_fused
-                total.families_rerouted += layer_stats.families_rerouted
-                for rule, count in layer_stats.reroute_rules.items():
-                    total.reroute_rules[rule] = (
-                        total.reroute_rules.get(rule, 0) + count)
-            self.last = total
+                self.last.merge(layer_stats)
         self.last_outcome = sweep
         return sweep
 
@@ -1455,12 +1428,11 @@ class SweepExecutor:
     # ------------------------------------------------------------------
     # Shared per-spec finalization
     # ------------------------------------------------------------------
-    def _settle(self, outcome: SpecOutcome,
-                outcomes: List[Optional[SpecOutcome]], total: int,
-                strict: bool, journal: bool = True,
+    def _settle(self, outcome: SpecOutcome, journal: bool = True,
                 store: bool = True) -> None:
         """Publish one terminal outcome: cache, journal, tick, strict."""
-        outcomes[outcome.index] = outcome
+        sweep = self._sweep
+        sweep.outcomes[outcome.index] = outcome
         if (store and outcome.ok and not outcome.from_cache
                 and self.cache is not None and outcome.key is not None
                 and outcome.result is not None):
@@ -1481,11 +1453,51 @@ class SweepExecutor:
                                 spec=outcome.spec,
                                 attempts=outcome.attempts,
                                 error=outcome.error)
-        self._done += 1
-        self._tick(self._done, total, outcome.spec)
-        if strict and outcome.status in (SpecStatus.FAILED,
-                                         SpecStatus.TIMED_OUT):
+        sweep.done += 1
+        self._tick(sweep.done, len(sweep.outcomes), outcome.spec)
+        if sweep.strict and outcome.status in (SpecStatus.FAILED,
+                                               SpecStatus.TIMED_OUT):
             raise SweepFailure(outcome)
+
+    def _settle_in_families(self, outcomes: Iterable[SpecOutcome]) -> None:
+        """Settle in-process outcomes in spec order, publishing per family.
+
+        Fresh OK outcomes settle and tick per spec, while their cache
+        and journal writes go out per sweep family (contiguous in spec
+        order): one pack and one journal append each.  Publishing per
+        family rather than per batch bounds the payload held in memory.
+        A failure, and every outcome under a fault plan (its cache chaos
+        acts per ``put``), settles alone; it and any exit flush the
+        family first.
+        """
+        sweep = self._sweep
+        slots = sweep.outcomes
+        total = len(slots)
+        progress = self.progress
+        batch = sweep.plan is None
+        publish = self.cache is not None or self.journal is not None
+        family: List[SpecOutcome] = []
+        family_id = None
+        try:
+            for outcome in outcomes:
+                if not batch or not outcome.ok:
+                    self._publish_family(family)
+                    family, family_id = [], None
+                    self._settle(outcome)
+                    continue
+                spec = outcome.spec
+                if publish:
+                    spec_family = _family_id(spec)
+                    if spec_family != family_id:
+                        self._publish_family(family)
+                        family, family_id = [], spec_family
+                    family.append(outcome)
+                slots[outcome.index] = outcome
+                sweep.done += 1
+                if progress is not None:
+                    progress(sweep.done, total, spec)
+        finally:
+            self._publish_family(family)
 
     def _publish_family(self, family: Sequence[SpecOutcome]) -> None:
         """Cache and journal a run of fresh OK outcomes in one write each."""
@@ -1499,61 +1511,87 @@ class SweepExecutor:
                 (outcome.key, SpecStatus.OK, outcome.spec, outcome.attempts)
                 for outcome in family])
 
-    def _after_failure(self, index: int, spec: RunSpec, key: Optional[str],
-                       attempt: int, error: BaseException, queue: List,
-                       outcomes: List[Optional[SpecOutcome]], total: int,
-                       strict: bool) -> None:
-        """One attempt raised: schedule a retry or settle FAILED."""
-        if attempt < self.retry.max_attempts:
-            self._retries += 1
-            delay = self.retry.delay_s(spec, attempt)
-            queue.append((index, spec, key, attempt + 1,
-                          time.monotonic() + delay))
-            return
-        self._settle(SpecOutcome(
+    def _replayed(self, pending: List[Tuple[int, RunSpec, Optional[str]]],
+                  remaining: List) -> Iterable[SpecOutcome]:
+        """OK outcomes for the pending specs the grid replayed, in spec
+        order; the specs it left join ``remaining``."""
+        grid_get = self._sweep.grid.get
+        settled_ok = SpecOutcome.settled_ok
+        for item in pending:
+            index, spec, key = item
+            hit = grid_get(spec)
+            if hit is None:
+                remaining.append(item)
+            else:
+                yield settled_ok(spec, index, hit, key)
+
+    def _retry_or_fail(self, index: int, spec: RunSpec, key: Optional[str],
+                       attempt: int, error: Optional[BaseException],
+                       queue: Optional[List] = None
+                       ) -> Optional[SpecOutcome]:
+        """One attempt raised ``error``, or outlived ``retry.timeout_s``
+        (``error`` is ``None``).
+
+        While attempts remain, counts a retry, schedules it after its
+        backoff (queued for the pool, else slept off in place) and
+        returns ``None``.  Otherwise returns the spec's FAILED or
+        TIMED_OUT outcome for the caller to settle.
+        """
+        policy = self.retry
+        if attempt < policy.max_attempts:
+            self._sweep.stats.retries += 1
+            delay = policy.delay_s(spec, attempt)
+            if queue is not None:
+                queue.append((index, spec, key, attempt + 1,
+                              time.monotonic() + delay))
+            elif delay > 0:
+                time.sleep(delay)
+            return None
+        if error is None:
+            return SpecOutcome(
+                spec=spec, index=index, status=SpecStatus.TIMED_OUT,
+                error=(f"exceeded {policy.timeout_s:g}s wall-clock "
+                       f"budget on attempt {attempt}"),
+                attempts=attempt, key=key)
+        return SpecOutcome(
             spec=spec, index=index, status=SpecStatus.FAILED,
             error=f"{type(error).__name__}: {error}",
             traceback=self._format_traceback(error),
-            attempts=attempt, key=key), outcomes, total, strict)
+            attempts=attempt, key=key)
 
     @staticmethod
     def _format_traceback(error: BaseException) -> str:
         return "".join(traceback_module.format_exception(
             type(error), error, error.__traceback__))
 
-    def _finalize(self, specs: Sequence[RunSpec],
-                  outcomes: List[Optional[SpecOutcome]], started: float,
+    def _finalize(self, specs: Sequence[RunSpec], started: float,
                   gap_reason: str) -> SweepOutcome:
+        sweep = self._sweep
         filled: List[SpecOutcome] = []
         for index, spec in enumerate(specs):
-            outcome = outcomes[index]
+            outcome = sweep.outcomes[index]
             if outcome is None:
                 outcome = SpecOutcome(spec=spec, index=index,
                                       status=SpecStatus.SKIPPED,
                                       error=gap_reason)
             filled.append(outcome)
-        sweep = SweepOutcome(outcomes=filled)
-        counts = sweep.counts()
-        hits = sum(1 for outcome in filled if outcome.from_cache)
+        outcome = SweepOutcome(outcomes=filled)
+        counts = outcome.counts()
+        hits = sum(1 for spec_outcome in filled if spec_outcome.from_cache)
         phase_hits = phase_misses = 0
-        if self._phase_memo is not None:
-            phase_hits = self._phase_memo.hits - self._memo_before[0]
-            phase_misses = self._phase_memo.misses - self._memo_before[1]
-        self.last = SweepStats(
-            total=len(filled), cache_hits=hits,
+        if sweep.phase_memo is not None:
+            phase_hits = sweep.phase_memo.hits - sweep.memo_before[0]
+            phase_misses = sweep.phase_memo.misses - sweep.memo_before[1]
+        self.last = dataclasses.replace(
+            sweep.stats, total=len(filled), cache_hits=hits,
             executed=len(filled) - hits - counts["skipped"],
             elapsed_s=time.perf_counter() - started,
-            jobs=self.jobs,
             failed=counts["failed"], timed_out=counts["timed_out"],
-            skipped=counts["skipped"], retries=self._retries,
-            crashes=self._crashes, engine=self.engine,
-            phase_hits=phase_hits, phase_misses=phase_misses,
-            grid_groups=self._grid_groups, grid_specs=len(self._grid),
-            families_fused=self._families_fused,
-            families_rerouted=self._families_rerouted,
-            reroute_rules=dict(self._reroute_rules))
-        self.last_outcome = sweep
-        return sweep
+            skipped=counts["skipped"], phase_hits=phase_hits,
+            phase_misses=phase_misses, grid_specs=len(sweep.grid),
+            reroute_rules=dict(sweep.stats.reroute_rules))
+        self.last_outcome = outcome
+        return outcome
 
     def _install_sigterm_handler(self):
         """SIGTERM -> KeyboardInterrupt for the sweep's duration, so
@@ -1591,14 +1629,14 @@ class SweepExecutor:
         Anything that cannot be fused falls back a tier: a rerouted
         family fuses cell by cell, and a cell that still reroutes, a
         row that fails a residual guard or a compile error is left out
-        of ``self._grid`` for the per-spec path.  This method can only
+        of the sweep's grid for the per-spec path.  This method can only
         accelerate, never change, a sweep's results.  Reroutes are
-        tallied into ``self._reroute_rules`` for the ``[sweep]``
-        summary.
+        tallied into the sweep's stats for the ``[sweep]`` summary.
         """
         system = self.system or default_system()
         calib = self.calib or default_calibration()
-        memo = self._phase_memo
+        sweep = self._sweep
+        memo = sweep.phase_memo
         kernel_sim = memo.simulate if memo is not None else None
         # Cells split by seed family: a batch may hold the same
         # coordinates under several base seeds (two served requests),
@@ -1667,7 +1705,7 @@ class SweepExecutor:
                             continue  # per-spec path handles this cell
                         if held[group_key] > 1:
                             tapes[group_key] = compiled
-                        self._grid_groups += 1
+                        sweep.stats.grid_groups += 1
                         fused_cells.append((group_key, members, compiled))
                     if not fused_cells:
                         continue
@@ -1684,15 +1722,14 @@ class SweepExecutor:
         except Exception:  # pragma: no cover - defensive
             # A broken precompute must never take the sweep down; the
             # per-spec path recomputes anything missing or partial.
-            self._grid.clear()
-            self._grid_groups = 0
+            sweep.grid.clear()
+            sweep.stats.grid_groups = 0
 
     def _grid_in_worker(self, pools: "WorkerPool",
                         specs: List[RunSpec]) -> None:
         """:meth:`_precompute_grid` as one task on a pool worker.
 
-        Fills ``self._grid`` and the family tallies from the worker's
-        replay (:func:`_grid_entry`).  A task that breaks the pool or
+        Fills the sweep's grid and tallies from the worker's replay (:func:`_grid_entry`).  A task that breaks the pool or
         outlives ``retry.timeout_s`` discards the pool and leaves the
         grid empty, so every spec takes the per-spec path; the task is
         no one spec's, so none is credited with the crash.
@@ -1703,8 +1740,7 @@ class SweepExecutor:
             future = pools.get(self.jobs).submit(
                 _grid_entry, (specs, self.system, self.calib, self.engine))
             pools.tasks += 1
-            rows, groups, fused, rerouted, rules = future.result(
-                timeout=self.retry.timeout_s)
+            rows, stats = future.result(timeout=self.retry.timeout_s)
         except (BrokenExecutor, FuturesTimeout):
             pools.discard()
             return
@@ -1713,28 +1749,22 @@ class SweepExecutor:
         except BaseException:
             pools.discard()
             raise
-        grid = self._grid
+        grid = self._sweep.grid
         for spec, run in zip(specs, rows):
             if run is not None:
                 grid[spec] = run
-        self._grid_groups += groups
-        self._families_fused += fused
-        self._families_rerouted += rerouted
-        for rule, count in rules.items():
-            self._count_reroute(rule, count)
-
-    def _count_reroute(self, rule: str, count: int = 1) -> None:
-        self._reroute_rules[rule] = self._reroute_rules.get(rule, 0) + count
+        self._sweep.stats.merge(stats)
 
     def _compile_family(self, fused_cells, calib):
         """The family's array program, or ``None`` (reroute tallied)."""
+        stats = self._sweep.stats
         try:
             fam = compile_family([c for _, _, c in fused_cells], calib)
         except FamilyRerouted as rerouted:
-            self._families_rerouted += 1
-            self._count_reroute(rerouted.rule)
+            stats.families_rerouted += 1
+            stats.count_reroute(rerouted.rule)
             return None
-        self._families_fused += 1
+        stats.families_fused += 1
         return fam
 
     def _replay_fused(self, fam, fused_cells, system, calib) -> None:
@@ -1750,8 +1780,8 @@ class SweepExecutor:
         include the fused axis, so specs that differ only along it
         share an identical stream — each distinct ``(size, iteration,
         spill footprint)`` is drawn once and gathered onto its rows.
-        Rows whose per-spec residual guards fail stay out of
-        ``self._grid`` and take the per-spec path.
+        Rows whose per-spec residual guards fail stay out of the
+        sweep's grid and take the per-spec path.
         """
         noise = calib.noise
         cpu = system.cpu
@@ -1830,7 +1860,7 @@ class SweepExecutor:
                       and not (rep.memcpy_ns < 0.0).any()
                       and not (rep.kernel_ns < 0.0).any()
                       and not (rep.wall_ns < 0.0).any())
-        grid = self._grid
+        grid = self._sweep.grid
         replayed = RunResult.replayed
         invalid = 0
         row = 0
@@ -1853,7 +1883,7 @@ class SweepExecutor:
                                       spec.iteration, a, m, k, w, counters,
                                       occupancy, busy[i])
         if invalid:
-            self._count_reroute("residual-guard", invalid)
+            self._sweep.stats.count_reroute("residual-guard", invalid)
 
     def _execute_local(self, spec: RunSpec, attempt: int) -> RunResult:
         """One in-process attempt: grid-precomputed result, else cold.
@@ -1861,7 +1891,7 @@ class SweepExecutor:
         The fault-injection hook still fires first so resilience tests
         exercise retry/timeout paths identically on every engine.
         """
-        hit = self._grid.get(spec)
+        hit = self._sweep.grid.get(spec)
         if hit is not None:
             faults.maybe_fire(spec, attempt)
             return hit
@@ -1870,68 +1900,28 @@ class SweepExecutor:
         return _execute_entry((spec, self.system, self.calib, attempt,
                                self.engine, faults.active_plan()))
 
-    # ------------------------------------------------------------------
-    # Serial (jobs=1) execution with retry/backoff
-    # ------------------------------------------------------------------
-    def _run_serial(self, pending: List[Tuple[int, RunSpec, Optional[str]]],
-                    outcomes: List[Optional[SpecOutcome]], total: int,
-                    strict: bool) -> None:
-        policy = self.retry
-        # With no fault plan (its cache chaos acts per ``put``), fresh
-        # OK outcomes publish per sweep family as in bulk-settle: one
-        # pack and one journal append per run of same-family specs.
-        # Anything else, and any exit, flushes the family first.
-        batch = faults.active_plan() is None
-        family: List[SpecOutcome] = []
-        try:
-            for index, spec, key in pending:
-                attempt = 0
-                while True:
-                    attempt += 1
-                    try:
-                        run = self._execute_local(spec, attempt)
-                    except KeyboardInterrupt:
-                        raise
-                    except Exception as error:
-                        if attempt < policy.max_attempts:
-                            self._retries += 1
-                            delay = policy.delay_s(spec, attempt)
-                            if delay > 0:
-                                time.sleep(delay)
-                            continue
-                        self._publish_family(family)
-                        family = []
-                        self._settle(SpecOutcome(
-                            spec=spec, index=index,
-                            status=SpecStatus.FAILED,
-                            error=f"{type(error).__name__}: {error}",
-                            traceback=self._format_traceback(error),
-                            attempts=attempt, key=key),
-                            outcomes, total, strict)
-                        break
-                    outcome = SpecOutcome(
-                        spec=spec, index=index, status=SpecStatus.OK,
-                        result=run, attempts=attempt, key=key)
-                    if not batch or key is None:
-                        self._settle(outcome, outcomes, total, strict)
-                        break
-                    if family and \
-                            _family_id(family[0].spec) != _family_id(spec):
-                        self._publish_family(family)
-                        family = []
-                    family.append(outcome)
-                    self._settle(outcome, outcomes, total, strict,
-                                 journal=False, store=False)
-                    break
-        finally:
-            self._publish_family(family)
+    def _attempt(self, index: int, spec: RunSpec,
+                 key: Optional[str]) -> SpecOutcome:
+        """Run one spec in this process, retrying with backoff, to its
+        terminal outcome (the serial ``jobs=1`` path)."""
+        attempt = 0
+        while True:
+            attempt += 1
+            try:
+                run = self._execute_local(spec, attempt)
+            except Exception as error:
+                failed = self._retry_or_fail(index, spec, key, attempt, error)
+                if failed is not None:
+                    return failed
+                continue
+            return SpecOutcome(spec=spec, index=index, status=SpecStatus.OK,
+                               result=run, attempts=attempt, key=key)
 
     # ------------------------------------------------------------------
     # Pooled execution: submit/wait with failure isolation
     # ------------------------------------------------------------------
     def _run_pool(self, pending: List[Tuple[int, RunSpec, Optional[str]]],
-                  outcomes: List[Optional[SpecOutcome]], total: int,
-                  strict: bool, pools: "WorkerPool") -> None:
+                  pools: "WorkerPool") -> None:
         """submit()/wait() loop with per-spec isolation.
 
         Unlike the old ``pool.map``, every spec gets its own future, so
@@ -1994,8 +1984,7 @@ class SweepExecutor:
 
                 if victims:
                     pool = self._rebuild_after_crash(
-                        pools, victims, in_flight, queue, crashes,
-                        outcomes, total, strict)
+                        pools, victims, in_flight, queue, crashes)
                     continue
 
                 if not in_flight:
@@ -2028,29 +2017,10 @@ class SweepExecutor:
                                        return_when=FIRST_COMPLETED)
 
                 # 3. Harvest completions; collect crash victims.
-                for future in done:
-                    index, spec, key, attempt, _ = in_flight.pop(future)
-                    error = future.exception()
-                    if isinstance(error, BrokenExecutor):
-                        victims.append((index, spec, key, attempt))
-                    elif error is not None:
-                        self._after_failure(index, spec, key, attempt,
-                                            error, queue, outcomes, total,
-                                            strict)
-                    else:
-                        # Completing exonerates a suspect: it leaves
-                        # isolation scheduling.
-                        survived = crashes.pop(index, 0)
-                        self._settle(SpecOutcome(
-                            spec=spec, index=index, status=SpecStatus.OK,
-                            result=future.result(), attempts=attempt,
-                            crashes=survived, key=key),
-                            outcomes, total, strict)
-
+                self._harvest(done, in_flight, queue, crashes, victims)
                 if victims:
                     pool = self._rebuild_after_crash(
-                        pools, victims, in_flight, queue, crashes,
-                        outcomes, total, strict)
+                        pools, victims, in_flight, queue, crashes)
                     continue
 
                 # 4. Expire hung workers.
@@ -2061,17 +2031,41 @@ class SweepExecutor:
                                and not future.done()]
                     if expired:
                         pool = self._expire_and_rebuild(
-                            pools, expired, in_flight, queue,
-                            outcomes, total, strict)
+                            pools, expired, in_flight, queue, crashes)
         except BaseException:
             pools.discard()
             raise
 
+    def _harvest(self, futures: Iterable, in_flight: Dict, queue: List,
+                 crashes: Dict[int, int], victims: List[Tuple]) -> None:
+        """Take ``futures`` out of ``in_flight`` and settle the finished.
+
+        A result settles OK; completing exonerates a suspect, which
+        leaves isolation scheduling.  A raised attempt retries or
+        fails.  A future the pool broke under, or one still running,
+        joins ``victims``.
+        """
+        from concurrent.futures import BrokenExecutor
+        for future in futures:
+            index, spec, key, attempt, _ = in_flight.pop(future)
+            error = (future.exception() if future.done() else
+                     BrokenExecutor("in flight at pool crash"))
+            if isinstance(error, BrokenExecutor):
+                victims.append((index, spec, key, attempt))
+            elif error is not None:
+                failed = self._retry_or_fail(index, spec, key, attempt,
+                                             error, queue)
+                if failed is not None:
+                    self._settle(failed)
+            else:
+                self._settle(SpecOutcome(
+                    spec=spec, index=index, status=SpecStatus.OK,
+                    result=future.result(), attempts=attempt,
+                    crashes=crashes.pop(index, 0), key=key))
+
     def _rebuild_after_crash(self, pools: "WorkerPool",
                              victims: List[Tuple], in_flight: Dict,
-                             queue: List, crashes: Dict[int, int],
-                             outcomes: List[Optional[SpecOutcome]],
-                             total: int, strict: bool):
+                             queue: List, crashes: Dict[int, int]):
         """A worker process died (``BrokenProcessPool``): salvage any
         futures that finished before the crash, requeue the rest,
         credit the likeliest culprits, quarantine specs that crossed
@@ -2084,23 +2078,8 @@ class SweepExecutor:
         suspects yet) every victim is credited; they all become
         suspects and are subsequently isolated.
         """
-        from concurrent.futures import BrokenExecutor
-        self._crashes += 1
-        for future, meta in list(in_flight.items()):
-            index, spec, key, attempt, _ = meta
-            del in_flight[future]
-            error = (future.exception() if future.done() else
-                     BrokenExecutor("in flight at pool crash"))
-            if error is None:  # finished before the pool broke
-                self._settle(SpecOutcome(
-                    spec=spec, index=index, status=SpecStatus.OK,
-                    result=future.result(), attempts=attempt, key=key),
-                    outcomes, total, strict)
-            elif isinstance(error, BrokenExecutor):
-                victims.append((index, spec, key, attempt))
-            else:
-                self._after_failure(index, spec, key, attempt, error,
-                                    queue, outcomes, total, strict)
+        self._sweep.stats.crashes += 1
+        self._harvest(list(in_flight), in_flight, queue, crashes, victims)
         pools.discard()
         now = time.monotonic()
         suspects_present = any(index in crashes
@@ -2117,8 +2096,7 @@ class SweepExecutor:
                     spec=spec, index=index, status=SpecStatus.FAILED,
                     error=("worker process crashed; quarantined as poison "
                            f"after {crashes[index]} pool crash(es)"),
-                    attempts=attempt, crashes=crashes[index], key=key),
-                    outcomes, total, strict)
+                    attempts=attempt, crashes=crashes[index], key=key))
             else:
                 # A crash is not a failed *attempt* — the spec never
                 # finished running — so requeue at the same attempt.
@@ -2127,43 +2105,22 @@ class SweepExecutor:
 
     def _expire_and_rebuild(self, pools: "WorkerPool", expired: List,
                             in_flight: Dict, queue: List,
-                            outcomes: List[Optional[SpecOutcome]],
-                            total: int, strict: bool):
+                            crashes: Dict[int, int]):
         """Per-spec deadlines tripped: the workers running them are
         stuck, so retry/fail the hung specs, salvage finished futures,
         requeue the innocent in-flight ones, and replace the pool
         (terminating the stuck workers)."""
-        from concurrent.futures import BrokenExecutor
-        policy = self.retry
-        now = time.monotonic()
         for future in expired:
             index, spec, key, attempt, _ = in_flight.pop(future)
-            if attempt < policy.max_attempts:
-                self._retries += 1
-                delay = policy.delay_s(spec, attempt)
-                queue.append((index, spec, key, attempt + 1, now + delay))
-            else:
-                self._settle(SpecOutcome(
-                    spec=spec, index=index, status=SpecStatus.TIMED_OUT,
-                    error=(f"exceeded {policy.timeout_s:g}s wall-clock "
-                           f"budget on attempt {attempt}"),
-                    attempts=attempt, key=key), outcomes, total, strict)
-        for future, meta in list(in_flight.items()):
-            index, spec, key, attempt, _ = meta
-            del in_flight[future]
-            if future.done() and not isinstance(future.exception(),
-                                                BrokenExecutor):
-                error = future.exception()
-                if error is not None:
-                    self._after_failure(index, spec, key, attempt, error,
-                                        queue, outcomes, total, strict)
-                else:
-                    self._settle(SpecOutcome(
-                        spec=spec, index=index, status=SpecStatus.OK,
-                        result=future.result(), attempts=attempt, key=key),
-                        outcomes, total, strict)
-            else:
-                queue.append((index, spec, key, attempt, now))
+            failed = self._retry_or_fail(index, spec, key, attempt, None,
+                                         queue)
+            if failed is not None:
+                self._settle(failed)
+        stranded: List[Tuple] = []
+        self._harvest(list(in_flight), in_flight, queue, crashes, stranded)
+        now = time.monotonic()
+        queue.extend((index, spec, key, attempt, now)
+                     for index, spec, key, attempt in stranded)
         pools.discard()
         return pools.get(self.jobs)
 

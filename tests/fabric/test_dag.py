@@ -1,6 +1,8 @@
 """Spec-DAG compiler: structure, introspection, serial execution."""
 
+import dataclasses
 import json
+from collections import Counter
 
 import pytest
 
@@ -10,7 +12,9 @@ from repro.fabric import (SpecDAG, SpecNode, compile_figure_grid,
                          family_key, find_children, find_parents,
                          group_key, walk_program)
 from repro.fabric.dag import KIND_PREWARM, renumber
-from repro.harness.executor import ResultCache, SweepExecutor, expand_grid
+from repro.core.configs import TransferMode
+from repro.harness.executor import (ResultCache, SweepExecutor, SweepStats,
+                                    expand_grid)
 from repro.harness.resilience import SpecStatus
 from repro.harness.store import run_to_record
 
@@ -247,6 +251,40 @@ class TestRunDag:
             compile_sensitivity_grid(specs))
         assert [run_to_record(o.result) for o in out] == \
             [run_to_record(o.result) for o in ref]
+
+    def test_layer_stats_sum_into_one_sweep(self, tmp_path, monkeypatch):
+        """A size search runs its probes, then its cells: ``last`` is
+        the field-wise sum of the two layers' stats."""
+        specs = expand_grid(["saxpy"], ["small", "medium", "large"],
+                            [TransferMode.UVM], iterations=3)
+        # Warm one iteration: the probes run cold, the cells half warm.
+        self.executor(tmp_path).run([spec for spec in specs
+                                     if spec.iteration == 2])
+        layers = []
+        run_outcomes = SweepExecutor.run_outcomes
+
+        def recording(executor, *args, **kwargs):
+            outcome = run_outcomes(executor, *args, **kwargs)
+            layers.append(executor.last)
+            return outcome
+
+        monkeypatch.setattr(SweepExecutor, "run_outcomes", recording)
+        executor = self.executor(tmp_path)
+        executor.run_dag(compile_size_search_grid(specs))
+        assert len(layers) == 2
+        assert layers[1].cache_hits
+        assert all(stats.executed and stats.grid_specs and stats.reroute_rules
+                   for stats in layers)
+        summed = {stats_field.name: sum(getattr(stats, stats_field.name)
+                                        for stats in layers)
+                  for stats_field in dataclasses.fields(SweepStats)
+                  if stats_field.name not in ("jobs", "engine",
+                                              "reroute_rules")}
+        rules = sum((Counter(stats.reroute_rules) for stats in layers),
+                    Counter())
+        assert executor.last == SweepStats(
+            jobs=executor.jobs, engine=executor.engine,
+            reroute_rules=dict(rules), **summed)
 
     def test_failed_probe_skips_descendants(self, tmp_path):
         from repro.harness import faults

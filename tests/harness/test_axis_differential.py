@@ -210,6 +210,26 @@ class TestRerouteTiers:
             "residual-guard", 0)
 
 
+    def test_isolated_grid_task_reports_in_process_tallies(self):
+        """An isolated sweep replays the grid on a pool worker and
+        carries its tallies back: the ``[sweep]`` counts match an
+        in-process sweep's.  Phase-memo counts are left out, because a
+        worker's memo is its own."""
+        sizes = [size for size in SizeClass.ordered()
+                 if get_workload("saxpy").supports(size)]
+        specs = expand_grid(["saxpy"], sizes, [TransferMode.UVM],
+                            iterations=3)
+        local = SweepExecutor(jobs=1, engine="vector")
+        isolated = SweepExecutor(jobs=1, engine="vector", isolate=True)
+        assert [dataclasses.asdict(run) for run in isolated.run(specs)] \
+            == [dataclasses.asdict(run) for run in local.run(specs)]
+        names = ("grid_specs", "grid_groups", "families_fused",
+                 "families_rerouted", "reroute_rules")
+        assert local.last.reroute_rules.get("schedule-divergence") == 1
+        assert {name: getattr(isolated.last, name) for name in names} == \
+            {name: getattr(local.last, name) for name in names}
+
+
 class TestContendedFamilies:
     def test_single_copy_engine_reroutes_and_stays_bitwise(self):
         """A system with one DMA engine makes saxpy's two UVM demand

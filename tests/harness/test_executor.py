@@ -20,7 +20,7 @@ from repro.harness.executor import (CacheStats, ResultCache, RunSpec,
                                     collect_comparisons, collect_runsets,
                                     expand_grid)
 # Aliased: pyproject collects `bench_*` callables as tests.
-from repro.harness.resilience import RetryPolicy
+from repro.harness.resilience import RetryPolicy, SweepJournal
 from repro.harness.sensitivity import sweep_specs
 from repro.harness.store import run_to_record
 from repro.sim.calibration import default_calibration
@@ -284,6 +284,54 @@ class TestPacks:
             serialize(run for _, run in items)
         assert reader.stats.corrupt == 0
         assert not list(tmp_path.glob(".*.tmp"))
+
+
+class TestPublishPaths:
+    """A cold sweep publishes alike on both settle paths: the grid's
+    bulk settle (``vector``) and the per-spec serial loop
+    (``reference``) each write one pack and one journal append per
+    family, under the same entry names and journal lines."""
+
+    def publish(self, root, engine, monkeypatch):
+        appends = []
+        record_many = SweepJournal.record_many
+
+        def counting(journal, items):
+            items = list(items)
+            appends.append([item[0] for item in items])
+            return record_many(journal, items)
+
+        cache = ResultCache(root)
+        executor = SweepExecutor(jobs=1, cache=cache, engine=engine,
+                                 journal=SweepJournal(root / "journal"))
+        specs = expand_grid(**PACK_GRID)
+        with monkeypatch.context() as patch:
+            patch.setattr(SweepJournal, "record_many", counting)
+            executor.run(specs)
+        families = [[executor.key_for(spec) for spec in specs[:3]],
+                    [executor.key_for(spec) for spec in specs[3:]]]
+        inodes = [{cache.path_for(key).stat().st_ino for key in family}
+                  for family in families]
+        assert [len(family) for family in inodes] == [1, 1]
+        assert inodes[0] != inodes[1]
+        assert appends == families
+        names = sorted(str(path.relative_to(root))
+                       for path in root.rglob("*") if path.is_file())
+        lines = [json.loads(line) for line in
+                 (root / "journal").read_text().splitlines()]
+        for line in lines:
+            del line["ts"]
+        return executor.last, names, lines
+
+    def test_bulk_settle_and_serial_publish_alike(self, tmp_path,
+                                                  monkeypatch):
+        vector, names, lines = self.publish(tmp_path / "vector", "vector",
+                                            monkeypatch)
+        reference, *published = self.publish(tmp_path / "reference",
+                                             "reference", monkeypatch)
+        assert vector.grid_specs == vector.total
+        assert reference.grid_specs == 0
+        assert published == [names, lines]
 
 
 class TestInvalidation:

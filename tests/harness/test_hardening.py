@@ -323,8 +323,7 @@ class TestPutRace:
         with faults.inject(plan):
             executor._settle(SpecOutcome(
                 spec=specs[1], index=0, status=SpecStatus.OK,
-                result=runs[1], attempts=1, key=keys[1]),
-                [None], 1, strict=False, journal=False)
+                result=runs[1], attempts=1, key=keys[1]), journal=False)
         reader = ResultCache(cache.root)
         assert reader.get(keys[1]) is None
         assert reader.stats.corrupt == 1
